@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 from .crystal import (C_NM_FS, CrystalSpec, Material, available_materials,
                       get_material, group_index, nm_from_omega,
                       omega_from_nm, walkoff_angle)
-from .errors import (ConfigError, ConvergenceError, DataFormatError,
-                     FitError, KinematicsError, NoSolutionError, RangeError,
+from .errors import (ConfigError, DataFormatError, FitError,
+                     KinematicsError, NoSolutionError, RangeError,
                      RefractionError, SpdcError)
 from .phasematch import (EmissionCoord, PumpConfig, amplitude_weight,
                          conjugate, degenerate_emission_angle, delta_kappa,

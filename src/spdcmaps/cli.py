@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from . import compensation, config, mapio, maps, phasematch
-from .errors import (ConfigError, ConvergenceError, DataFormatError,
-                     FitError, KinematicsError, NoSolutionError, RangeError,
+from .errors import (ConfigError, DataFormatError, FitError,
+                     KinematicsError, NoSolutionError, RangeError,
                      RefractionError)
 
 EXIT_OK = 0
@@ -188,8 +188,8 @@ def _build_parser():
             sp.add_argument("--grid", metavar="NXxNY",
                             help="override the grid resolution")
             sp.add_argument("--workers", type=int, default=None,
-                            help="sweep thread count (result is identical "
-                                 "for any value)")
+                            help="accepted for compatibility; has no effect "
+                                 "(sweeps run on one thread)")
         if filt:
             sp.add_argument("--filter-nm", type=float, dest="filter_nm",
                             help="narrow-filter center wavelength [nm]")
@@ -232,7 +232,7 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoSolutionError, KinematicsError, RefractionError,
-            ConvergenceError, FitError) as exc:
+            FitError) as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     except (OSError, DataFormatError) as exc:

@@ -9,6 +9,7 @@ violation is reported with its full key path, first one wins.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import yaml
@@ -122,6 +123,9 @@ def _coerce(path, tag, value):
             return value
     elif tag == "float":
         if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if not math.isfinite(value):
+                raise ConfigError(f"expected a finite number, got {value!r}",
+                                  key=path)
             return float(value)
     elif tag == "str":
         if isinstance(value, str):
@@ -147,20 +151,15 @@ def validate(flat):
     return out
 
 
+@contextmanager
 def _rekey(prefix):
-    """Context manager translating library ConfigError keys to full paths."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if isinstance(exc, ConfigError):
-                sub = exc.key or ""
-                raise ConfigError(exc.message,
-                                  key=f"{prefix}.{sub}" if sub else prefix) \
-                    from None
-            return False
-    return _Ctx()
+    """Translate library ConfigError keys to full paths."""
+    try:
+        yield
+    except ConfigError as exc:
+        sub = exc.key or ""
+        raise ConfigError(exc.message,
+                          key=f"{prefix}.{sub}" if sub else prefix) from None
 
 
 def _check_dispersion_range(canon, material, which):
@@ -214,12 +213,12 @@ def build_run_config(flat):
             mu=canon["source.mu"],
             group_convention=canon["source.group_convention"])
 
-    with _rekey("grid"):
-        grid = maps.GridSpec(
-            nx=canon["grid.nx"], ny=canon["grid.ny"],
-            x_min=canon["grid.x_min"], x_max=canon["grid.x_max"],
-            y_min=canon["grid.y_min"], y_max=canon["grid.y_max"],
-            mode=canon["grid.mode"])
+    # GridSpec already names its errors by full key path
+    grid = maps.GridSpec(
+        nx=canon["grid.nx"], ny=canon["grid.ny"],
+        x_min=canon["grid.x_min"], x_max=canon["grid.x_max"],
+        y_min=canon["grid.y_min"], y_max=canon["grid.y_max"],
+        mode=canon["grid.mode"])
 
     filter_nm = canon["filter.center_nm"]
     if filter_nm is not None:

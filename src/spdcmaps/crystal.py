@@ -2,8 +2,8 @@
 
 Sellmeier coefficient sets live in data/materials.yaml and are loaded once
 into an immutable registry.  On top of them: ordinary / extraordinary /
-angle-dependent refractive indices, group indices by Richardson-refined
-central differences, and the walkoff (Poynting) ray construction.
+angle-dependent refractive indices, group indices from the closed-form
+derivative of the fits, and the walkoff (Poynting) ray construction.
 
 Unit conventions, used across the whole package:
     lengths mm, wavelengths nm, time fs, angular frequency rad/fs,
@@ -25,9 +25,6 @@ import yaml
 from .errors import ConfigError, RangeError
 
 C_NM_FS = 299.792458  # vacuum speed of light, nm per fs
-
-# central-difference step for group-index derivatives, nm
-
 
 def omega_from_nm(lam_nm):
     """Angular frequency (rad/fs) of a vacuum wavelength (nm)."""
@@ -225,6 +222,12 @@ def walkoff_ray(k_e, crystal_spec, omega):
     ca = np.asarray(
         k[..., 0] * axis[0] + k[..., 1] * axis[1] + k[..., 2] * axis[2])
     rho = np.asarray(walkoff_angle(crystal_spec.material, omega, ca))
+    return _turn_from_axis(k, axis, ca, rho)
+
+
+def _turn_from_axis(k, axis, ca, rho):
+    """k turned by rho away from the axis in their common plane, given the
+    axis cosine ca = k . axis; k itself where that plane is undefined."""
     # in-plane unit vector pointing from k toward the axis
     perp = axis - ca[..., np.newaxis] * k
     pn = np.sqrt(perp[..., 0] ** 2 + perp[..., 1] ** 2 + perp[..., 2] ** 2)

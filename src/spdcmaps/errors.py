@@ -2,7 +2,8 @@
 
 The CLI maps these onto distinct exit codes, so keep the split between
 configuration problems, physical no-go situations (evanescent waves, total
-internal reflection, no phase-matching solution) and numerical failures.
+internal reflection, no phase-matching solution) and unusable data (too
+few samples to fit, malformed files).
 """
 
 
@@ -33,10 +34,6 @@ class RefractionError(SpdcError):
 class KinematicsError(SpdcError):
     """No propagating partner wave exists for the requested coordinate
     (evanescent conjugate)."""
-
-
-class ConvergenceError(SpdcError):
-    """An iterative solver failed to converge within its iteration budget."""
 
 
 class NoSolutionError(SpdcError):

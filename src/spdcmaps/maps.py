@@ -9,15 +9,14 @@ where (and at what frequency) the photons land on a distant detection
 plane, are what this module evaluates, pointwise and on grids.
 
 Pointwise operations take one EmissionCoord and raise on invalid
-kinematics.  Grid sweeps vectorize whole rows, mark bad cells NaN, and are
-bitwise deterministic for any worker count: every array expression
-combines components explicitly, and the extraordinary-index fixed point
-freezes each cell independently, so splitting rows across threads cannot
-change a single bit of the result.
+kinematics.  Grid sweeps evaluate the same array kernels on blocks of
+whole rows in one serial loop and mark bad cells NaN.  Every kernel is
+elementwise and loop-free (explicit component arithmetic, closed-form
+refraction), so a cell's value does not depend on the block it was
+computed in: pointwise calls reproduce sweep cells bitwise.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,9 +114,9 @@ class _Transit:
         K, n = vecgeom.refract_into_extraordinary(
             k_air, Z_NORMAL, 1.0, omega, spec)
         axis = spec.axis_direction()
-        ray = crystal.walkoff_ray(K, spec, omega)
         ca = vecgeom.dot3(K, axis)
         rho = crystal.walkoff_angle(spec.material, omega, ca)
+        ray = crystal._turn_from_axis(K, axis, ca, rho)
         # the ray is K turned by rho away from the axis in their common
         # plane, so its axis cosine is cos(alpha + rho); the closed form
         # keeps the group term insensitive to sub-ulp residue in the ray
@@ -325,6 +324,10 @@ class GridSpec:
                               key="grid")
         if self.mode not in (DETECTION_MODE, ANGULAR_MODE):
             raise ConfigError(f"unknown grid mode {self.mode!r}", key="grid.mode")
+        if (self.mode == ANGULAR_MODE
+                and max(abs(self.x_min), abs(self.x_max)) >= 90.0):
+            raise ConfigError("polar angles must stay below 90 degrees",
+                              key="grid")
 
     def axes(self):
         return (np.linspace(self.x_min, self.x_max, self.nx),
@@ -364,45 +367,41 @@ class MapGrid:
                 and all(eq(a, b) for a, b in zip(self.values, other.values)))
 
 
-def _grid_transverse(source, grid_spec, xs, row_y):
-    """Transverse direction components for one grid row."""
+def _grid_transverse(source, grid_spec, xs, rows_y):
+    """Transverse direction components for a block of grid rows, shape
+    (len(rows_y), len(xs))."""
+    xs = xs[np.newaxis, :]
+    rows_y = rows_y[:, np.newaxis]
     if grid_spec.mode == DETECTION_MODE:
         ang = vecgeom.detection_point_to_angles(
-            xs, row_y, source.detection_distance_mm)
+            xs, rows_y, source.detection_distance_mm)
         theta, phi = ang.theta, ang.phi
     else:
-        theta = np.deg2rad(xs)
-        phi = np.full_like(xs, math.radians(row_y))
+        theta, phi = np.deg2rad(xs), np.deg2rad(rows_y)
     s = np.sin(theta)
     return s * np.cos(phi), s * np.sin(phi)
 
 
 def _default_workers():
+    """min(4, cpu count), kept for callers that report it.  Sweeps run
+    serially and ignore their workers argument."""
     import os
     return min(4, os.cpu_count() or 1)
 
 
-def _sweep(source, grid_spec, filter_center_nm, workers, row_func, n_planes):
+# cells per sweep block: whole rows, enough of them to amortize the
+# per-call overhead of the array kernels while the temporaries stay small
+_CHUNK_CELLS = 8192
+
+
+def _sweep(source, grid_spec, kernel, n_planes):
     xs, ys = grid_spec.axes()
     planes = [np.empty((grid_spec.ny, grid_spec.nx)) for _ in range(n_planes)]
-
-    def do_rows(i0, i1):
-        for i in range(i0, i1):
-            sx, sy = _grid_transverse(source, grid_spec, xs, ys[i])
-            for plane, vals in zip(planes, row_func(sx, sy)):
-                plane[i, :] = vals
-
-    nw = workers if workers else _default_workers()
-    if nw <= 1 or grid_spec.ny == 1:
-        do_rows(0, grid_spec.ny)
-    else:
-        block = max(1, -(-grid_spec.ny // (4 * nw)))
-        bounds = list(range(0, grid_spec.ny, block)) + [grid_spec.ny]
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            futs = [pool.submit(do_rows, a, b)
-                    for a, b in zip(bounds[:-1], bounds[1:])]
-            for f in futs:
-                f.result()
+    rows = max(1, _CHUNK_CELLS // grid_spec.nx)
+    for i in range(0, grid_spec.ny, rows):
+        sx, sy = _grid_transverse(source, grid_spec, xs, ys[i:i + rows])
+        for plane, vals in zip(planes, kernel(sx, sy)):
+            plane[i:i + rows] = vals
     return xs, ys, planes
 
 
@@ -416,17 +415,16 @@ def sweep_phase_map(source, grid_spec, filter_center_nm=None, workers=None):
     """Relative-phase map over a grid, in degrees.
 
     filter_center_nm selects the signal wavelength at every cell; None
-    means degenerate (twice the pump wavelength).  Results are bit-identical
-    for any worker count.
+    means degenerate (twice the pump wavelength).  workers is accepted
+    for compatibility and has no effect: the sweep runs on one thread.
     """
     w_s = (crystal.omega_from_nm(filter_center_nm) if filter_center_nm
            else 0.5 * source.pump.omega)
 
-    def rows(sx, sy):
+    def kernel(sx, sy):
         return (np.degrees(_phase_values(source, w_s, sx, sy)),)
 
-    xs, ys, planes = _sweep(source, grid_spec, filter_center_nm, workers,
-                            rows, 1)
+    xs, ys, planes = _sweep(source, grid_spec, kernel, 1)
     meta = {"source": source_snapshot(source),
             "filter_nm": (filter_center_nm if filter_center_nm
                           else 2.0 * source.pump.wavelength_nm)}
@@ -439,11 +437,11 @@ def sweep_phase_map(source, grid_spec, filter_center_nm=None, workers=None):
 def sweep_delay_map(source, grid_spec, filter_center_nm=None, workers=None):
     """Time-delay map: per cell, the delay of the photon detected there
     behind the filter (dt_s_fs) and the delay of its conjugate partner
-    (dt_i_fs)."""
+    (dt_i_fs).  workers has no effect, as in sweep_phase_map."""
     w_s = (crystal.omega_from_nm(filter_center_nm) if filter_center_nm
            else 0.5 * source.pump.omega)
 
-    def rows(sx, sy):
+    def kernel(sx, sy):
         dts = _delay_values(source, w_s, sx, sy)
         w_i, six, siy = _conjugate_components(source.pump, w_s, sx, sy)
         evan = six * six + siy * siy >= 1.0
@@ -452,8 +450,7 @@ def sweep_delay_map(source, grid_spec, filter_center_nm=None, workers=None):
                             np.where(evan, np.nan, siy))
         return dts, dti
 
-    xs, ys, planes = _sweep(source, grid_spec, filter_center_nm, workers,
-                            rows, 2)
+    xs, ys, planes = _sweep(source, grid_spec, kernel, 2)
     meta = {"source": source_snapshot(source),
             "filter_nm": (filter_center_nm if filter_center_nm
                           else 2.0 * source.pump.wavelength_nm)}

@@ -3,18 +3,19 @@
 Vectors are ndarrays whose last axis has length 3; every routine accepts a
 single vector of shape (3,) or a batch of shape (..., 3).  Components are
 combined with explicit x/y/z arithmetic rather than einsum or matmul
-reductions, so the floating-point operation order is fixed and results are
-bitwise reproducible no matter how a batch is split across worker threads.
+reductions, and no routine iterates, so each element of a batch goes
+through the same fixed sequence of operations: a result does not depend
+on what else shares the batch or on how a grid is cut into batches.
 
 Angles are radians throughout.  Scalar inputs raise on failure (total
-internal reflection, non-convergence); batched inputs mark the offending
-rows NaN and keep going, which is what the grid sweeps want.
+internal reflection); batched inputs mark the offending rows NaN and keep
+going, which is what the grid sweeps want.
 """
 
 import numpy as np
 
 from .crystal import nm_from_omega as _nm_from_omega
-from .errors import ConvergenceError, RefractionError
+from .errors import RefractionError
 
 __all__ = [
     "SphericalAngles", "direction_from_angles", "angles_from_direction",
@@ -120,8 +121,6 @@ def tilt_rotation(theta, phi):
     the tilt meridian stay on it.  theta == 0.0 returns the identity
     bitwise, keeping untilted geometry untouched.
     """
-    if isinstance(theta, float) and theta == 0.0:
-        return np.eye(3)
     if np.ndim(theta) == 0 and float(theta) == 0.0:
         return np.eye(3)
     return rotation_z(phi) @ rotation_y(theta) @ rotation_z(-phi)
@@ -168,19 +167,19 @@ def refract_ordinary(k_in, normal, n_in, n_out):
     return out
 
 
-def refract_into_extraordinary(k_in, normal, n_in, omega, crystal_spec,
-                               tol=1e-14, max_iter=100):
+def refract_into_extraordinary(k_in, normal, n_in, omega, crystal_spec):
     """Refract into the extraordinary branch of a uniaxial crystal.
 
-    The internal index depends on the angle between the internal wavevector
-    and the optic axis, which depends on the index, so iterate: start at
-    n_o, rebuild the internal direction from tangential continuity, update
-    the index from the ellipsoid section, stop when it moves < tol.  The
-    map is strongly contractive for the small birefringences here.
+    With the tangential wavevector t fixed by continuity, the internal
+    wavevector k = t + k_n s normal (s the side of incidence) must lie on
+    the index ellipsoid, (k.a)^2 / n_o^2 + (|k|^2 - (k.a)^2) / n_e^2 = 1,
+    a quadratic in the normal component k_n (Yariv & Yeh, Optical Waves in
+    Crystals, ch. 4).  Its larger root, taken in the form free of
+    cancellation, is the forward wave, and n = |k|.
 
-    Returns (K_internal, n) where n is the self-consistent index.  Each
-    batch element freezes independently at its own convergence step, so
-    results do not depend on what else shares the batch.
+    Returns (K_internal, n).  No positive root means total internal
+    reflection: scalar input raises RefractionError, batched input gets
+    NaN rows.
     """
     k_in = np.asarray(k_in, dtype=float)
     scalar = k_in.ndim == 1
@@ -197,45 +196,29 @@ def refract_into_extraordinary(k_in, normal, n_in, omega, crystal_spec,
     sgn = np.sign(kn)
     nrm = np.asarray(normal, dtype=float)
 
-    shape = t2.shape
-    n = np.full(shape, n_o)
-    active = np.isfinite(t2)   # NaN rows would otherwise never settle
-    converged = np.zeros(shape, dtype=bool)
-    for _ in range(max_iter):
-        kz2 = n * n - t2
-        dead = kz2 <= 0.0
-        kz = np.sqrt(np.where(dead, 1.0, kz2))
-        K = (tv + (sgn * kz)[..., np.newaxis] * nrm) / n[..., np.newaxis]
-        ca = dot3(K, axis)
-        n_new = _ellipsoid_index(n_o, n_ep, ca)
-        step = np.where(active & ~dead, n_new, n)
-        just = active & (np.abs(step - n) < tol)
-        n = step
-        converged |= just
-        active &= ~just & ~dead
-        if not np.any(active):
-            break
-    kz2 = n * n - t2
-    bad = (kz2 <= 0.0) | ~converged
-    if scalar:
-        if kz2[0] <= 0.0:
-            raise RefractionError("total internal reflection at extraordinary entry")
-        if not converged[0]:
-            raise ConvergenceError(
-                f"extraordinary index fixed point not converged in {max_iter} steps")
-    kz = np.sqrt(np.where(bad, 1.0, kz2))
+    # qa k_n^2 + 2 hb k_n + c = 0, with k.a = p + q k_n
+    inv_e2 = 1.0 / (n_ep * n_ep)
+    A = 1.0 / (n_o * n_o) - inv_e2
+    p = dot3(tv, axis)
+    q = sgn * dot3(nrm, axis)
+    qa = A * q * q + inv_e2
+    hb = A * p * q
+    c = A * p * p + t2 * inv_e2 - 1.0
+    disc = hb * hb - qa * c
+    root = np.sqrt(np.maximum(disc, 0.0))
+    # larger root (root - hb) / qa; where hb > 0 that difference cancels,
+    # so use the equal product form -c / (hb + root) there
+    far = hb > 0.0
+    kz = np.where(far, -c, root - hb) / np.where(far, hb + root, qa)
+    bad = (disc < 0.0) | ~(kz > 0.0)
+    if scalar and bad[0]:
+        raise RefractionError("total internal reflection at extraordinary entry")
+    kz = np.where(bad, np.nan, kz)
+    n = np.sqrt(t2 + kz * kz)
     K = (tv + (sgn * kz)[..., np.newaxis] * nrm) / n[..., np.newaxis]
     if scalar:
         return K[0], float(n[0])
-    if np.any(bad):
-        K = np.where(bad[..., np.newaxis], np.nan, K)
-        n = np.where(bad, np.nan, n)
     return K, n
-
-
-def _ellipsoid_index(n_o, n_ep, cos_alpha):
-    ca2 = cos_alpha * cos_alpha
-    return 1.0 / np.sqrt(ca2 / (n_o * n_o) + (1.0 - ca2) / (n_ep * n_ep))
 
 
 def detection_point_to_angles(x, y, L):

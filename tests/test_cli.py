@@ -106,7 +106,9 @@ def test_type_errors_name_the_key(li_cfg):
     for key, bad in (("crystal1.length_mm", "thick"),
                      ("grid.nx", 9.5),
                      ("tilt.n_samples", True),
-                     ("source.include_z_offset_phase", "yes please")):
+                     ("source.include_z_offset_phase", "yes please"),
+                     ("crystal1.length_mm", float("inf")),
+                     ("crystal1.cut_deg", float("nan"))):
         broken = dict(flat)
         broken[key] = bad
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):

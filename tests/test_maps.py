@@ -253,6 +253,36 @@ def test_sweep_worker_count_invariance():
     assert maps.sweep_delay_map(BBO, gs, workers=5).same_data(dref)
 
 
+def _rows_one_at_a_time(sweep, source, gs, **kw):
+    """The grid's rows swept as separate one-row grids, restacked."""
+    planes = [sweep(source, maps.GridSpec(gs.nx, 1, gs.x_min, gs.x_max, y, y,
+                                          mode=gs.mode), **kw).values
+              for y in gs.axes()[1]]
+    return [np.vstack(rows) for rows in zip(*planes)]
+
+
+def _assert_rowwise_equal(source, gs, **kw):
+    for sweep in (maps.sweep_phase_map, maps.sweep_delay_map):
+        whole = sweep(source, gs, **kw).values
+        for a, b in zip(whole, _rows_one_at_a_time(sweep, source, gs, **kw)):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_sweep_ragged_last_chunk_matches_single_rows():
+    nx = 1000
+    rows = maps._CHUNK_CELLS // nx
+    ny = rows + rows // 2 + 1
+    assert rows > 1 and ny % rows != 0
+    gs = maps.GridSpec(nx, ny, 0.5, 60.0, 0.0, 90.0, mode=maps.ANGULAR_MODE)
+    # the far partner goes evanescent, so NA cells are compared too
+    _assert_rowwise_equal(LI, gs, filter_center_nm=600.0)
+
+
+def test_sweep_rows_wider_than_a_chunk_match_single_rows():
+    gs = maps.GridSpec(maps._CHUNK_CELLS + 5, 2, -60.0, 60.0, -60.0, 60.0)
+    _assert_rowwise_equal(BBO, gs)
+
+
 def test_sweep_resolution_doubling_reproduces_cells():
     coarse = maps.sweep_phase_map(LI, maps.GridSpec(33, 17, -60, 60, -40, 40))
     fine = maps.sweep_phase_map(LI, maps.GridSpec(65, 33, -60, 60, -40, 40))
@@ -307,6 +337,9 @@ def test_grid_spec_validation():
         maps.GridSpec(0, 5, 0, 1, 0, 1)
     with pytest.raises(ConfigError):
         maps.GridSpec(5, 5, 0, 1, 0, 1, mode="polar")
+    for lo, hi in ((95.0, 95.0), (-90.0, 10.0)):
+        with pytest.raises(ConfigError, match="grid"):
+            maps.GridSpec(1, 1, lo, hi, 0, 0, mode=maps.ANGULAR_MODE)
 
 
 def test_source_config_validation():

@@ -201,6 +201,8 @@ def _bisection_oracle(theta_ext, phi_ext, spec, omega):
     (20.0, 0.0, 0.0),     # coplanar with the optic axis
     (20.0, 35.0, 90.0),   # skew geometry
     (5.0, 180.0, 90.0),
+    (60.0, 0.0, 0.0),
+    (45.0, -120.0, 90.0),
 ])
 def test_extraordinary_oblique_matches_bisection_oracle(theta_deg, phi_deg,
                                                         axis_phi_deg):
