@@ -5,10 +5,10 @@ The public surface re-exported here covers the usual workflow: describe
 the source (CrystalSpec, PumpConfig, SourceConfig), evaluate pointwise
 (relative_phase, time_delay, time_intervals) or on grids
 (sweep_phase_map, sweep_delay_map), analyze profiles
-(fit_quadratic_profile), and search pump tilts (scan_tilt,
-find_self_compensating_tilt).  Angles are radians and frequencies
-rad/fs everywhere inside the library; degrees/nm/mm appear only at the
-CLI and config boundary.
+(fit_quadratic_profile), and search pump tilts (scan_tilt, refine_tilt,
+or both at once with find_self_compensating_tilt).  Angles are radians
+and frequencies rad/fs everywhere inside the library; degrees/nm/mm
+appear only at the CLI and config boundary.
 """
 
 __version__ = "0.1.0"
@@ -29,8 +29,8 @@ from .maps import (ANGULAR_MODE, DETECTION_MODE, GROUP_ALONG_RAY,
                    sweep_phase_map, time_delay, time_intervals)
 from .compensation import (DELAY_TOLERANCE_FS, TiltSample, TiltScanResult,
                            constrained_pump_state,
-                           find_self_compensating_tilt, scan_tilt,
-                           tilt_delay, tracked_target)
+                           find_self_compensating_tilt, refine_tilt,
+                           scan_tilt, tilt_delay, tracked_target)
 from .config import RunConfig, build_run_config, load_config_file
 from .mapio import read_map_csv, write_map_csv, write_sidecar
 

@@ -17,7 +17,6 @@ timestamps (those live in the JSON sidecar).  Exit codes: 0 success,
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,29 +32,22 @@ EXIT_NO_SOLUTION = 3
 EXIT_IO = 4
 
 
-def _parse_grid_flag(text):
-    try:
-        nx, ny = (int(t) for t in text.lower().split("x"))
-        return nx, ny
-    except ValueError:
-        raise ConfigError(f"expected NXxNY (e.g. 256x256), got {text!r}",
-                          key="--grid") from None
-
-
 def _load_run(args):
     flat = config.load_config_file(args.config)
     flat = config.apply_overrides(flat, args.set)
-    rc = config.build_run_config(flat)
+    # the flags are config keys too, so they meet the same checks and
+    # land in the sidecar snapshot
     if getattr(args, "grid", None):
-        nx, ny = _parse_grid_flag(args.grid)
-        rc = replace(rc, grid=replace(rc.grid, nx=nx, ny=ny))
-    if getattr(args, "filter_nm", None) is not None:
-        if not rc.source.pump.wavelength_nm < args.filter_nm:
+        try:
+            flat["grid.nx"], flat["grid.ny"] = (
+                int(t) for t in args.grid.lower().split("x"))
+        except ValueError:
             raise ConfigError(
-                "filter wavelength must exceed the pump wavelength",
-                key="--filter-nm")
-        rc = replace(rc, filter_nm=args.filter_nm)
-    return rc
+                f"expected NXxNY (e.g. 256x256), got {args.grid!r}",
+                key="--grid") from None
+    if getattr(args, "filter_nm", None) is not None:
+        flat["filter.center_nm"] = args.filter_nm
+    return config.build_run_config(flat)
 
 
 def _write_grid(grid, out, rc):
@@ -125,9 +117,7 @@ def cmd_find_tilt(args):
         print("sign-change bracket: none")
     if args.scan:
         return EXIT_OK
-    root = compensation.find_self_compensating_tilt(
-        rc.source, rc.tilt_phi_p, theta_range=rc.tilt_range,
-        n_samples=rc.tilt_samples)
+    root = compensation.refine_tilt(rc.source, rc.tilt_phi_p, res)
     delay, coord, offset = compensation.tilt_delay(rc.source, root,
                                                    rc.tilt_phi_p)
     print(f"self-compensating tilt: {math.degrees(root):.6f} deg")

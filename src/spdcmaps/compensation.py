@@ -19,7 +19,6 @@ import numpy as np
 from . import phasematch, vecgeom
 from .errors import ConfigError, NoSolutionError, SpdcError
 from .maps import time_delay
-from .phasematch import EmissionCoord
 from .solvers import bisect_secant
 
 # a tilt qualifies as self-compensating when the residual delay magnitude
@@ -81,13 +80,8 @@ def tracked_target(source, phi_target=None, xtol=1e-12):
         phi_target = pump.phi_p + math.pi
     delta = phasematch.degenerate_emission_angle(
         source.crystal1, pump, phi_target=phi_target, xtol=xtol)
-    rot = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p)
-    d = vecgeom.apply_rotation(
-        rot, vecgeom.direction_from_angles(delta, phi_target))
-    ang = vecgeom.angles_from_direction(d)
-    coord = EmissionCoord(omega=0.5 * pump.omega, theta=ang.theta,
-                          phi=ang.phi)
-    return coord, delta
+    tilt = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p)
+    return phasematch.degenerate_coord(pump, tilt, delta, phi_target), delta
 
 
 def tilt_delay(source, theta_p, phi_p, target=None):
@@ -166,28 +160,25 @@ def scan_tilt(source, phi_p, theta_range, n_samples, target=None):
                           bracket=bracket)
 
 
-def find_self_compensating_tilt(source, phi_p, target=None,
-                                theta_range=(0.0, math.radians(60.0)),
-                                n_samples=25, xtol=1e-6):
-    """Tilt angle (radians) nulling the time delay at the target.
+def refine_tilt(source, phi_p, scan, target=None, xtol=1e-6):
+    """Tilt angle (radians) nulling the delay, from a scan_tilt result
+    taken with the same target.
 
-    Scans the range for a bracket, refines the crossing by bisection plus
-    secant to xtol in the tilt angle, then re-evaluates the delay at the
-    result; the angle is returned only when that re-check passes.  Raises
-    NoSolutionError when the scan shows no sign change (or the refined
-    point fails the re-check).
+    Refines the scan's sign-change bracket to xtol by the ITP root finder,
+    then re-evaluates the delay there; the angle is returned only when
+    that re-check passes.  Raises NoSolutionError when the scan shows no
+    sign change (or the refined point fails the re-check).
     """
-    res = scan_tilt(source, phi_p, theta_range, n_samples, target)
-    if res.root is not None:
-        return res.root
-    if res.bracket is None:
+    if scan.root is not None:
+        return scan.root
+    if scan.bracket is None:
         raise NoSolutionError(
             "delay does not change sign over the scanned tilt range")
 
     def residual(th):
         return tilt_delay(source, th, phi_p, target)[0]
 
-    root = bisect_secant(residual, res.bracket[0], res.bracket[1],
+    root = bisect_secant(residual, scan.bracket[0], scan.bracket[1],
                          xtol=xtol)
     left = residual(root)
     if not abs(left) < DELAY_TOLERANCE_FS:
@@ -195,3 +186,12 @@ def find_self_compensating_tilt(source, phi_p, target=None,
             f"refined tilt leaves |delay| = {abs(left):.3g} fs, above "
             f"the {DELAY_TOLERANCE_FS:g} fs bar")
     return root
+
+
+def find_self_compensating_tilt(source, phi_p, target=None,
+                                theta_range=(0.0, math.radians(60.0)),
+                                n_samples=25, xtol=1e-6):
+    """Tilt angle (radians) nulling the time delay at the target:
+    scan_tilt over the range, then refine_tilt of that scan."""
+    scan = scan_tilt(source, phi_p, theta_range, n_samples, target)
+    return refine_tilt(source, phi_p, scan, target, xtol)

@@ -9,6 +9,7 @@ violation is reported with its full key path, first one wins.
 """
 
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -79,11 +80,21 @@ def _flatten(node, prefix, out):
     return out
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe loader that reads ``5e6``, ``-5e1`` and ``1e-3`` as floats, as
+    YAML 1.2 does (PyYAML's YAML 1.1 rules leave them strings)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$"), "-+0123456789")
+
+
 def load_config_file(path):
     """Read a YAML config file into a flat dotted-key dict."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if raw is None:
@@ -100,7 +111,7 @@ def parse_override(text):
     if not sep or not key:
         raise ConfigError(f"override {text!r} is not of the form key=value")
     try:
-        return key, yaml.safe_load(value)
+        return key, yaml.load(value, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse override value: {exc}",
                           key=key) from None

@@ -171,6 +171,14 @@ _BRACKET_HI = math.radians(15.0)
 DEGENERATE_SEARCH_BRACKET = (_BRACKET_LO, _BRACKET_HI)
 
 
+def degenerate_coord(pump, tilt, delta, phi):
+    """Laboratory coordinate at omega_p/2 of the point (delta, phi) on the
+    cone around the pump; tilt is the pump's vecgeom.tilt_rotation."""
+    d = vecgeom.apply_rotation(tilt, vecgeom.direction_from_angles(delta, phi))
+    ang = vecgeom.angles_from_direction(d)
+    return EmissionCoord(omega=0.5 * pump.omega, theta=ang.theta, phi=ang.phi)
+
+
 def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0,
                               xtol=1e-12):
     """External polar offset of degenerate (omega_p/2) phase matching.
@@ -181,17 +189,13 @@ def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0,
     incidence this is simply the external polar angle of the degenerate
     ring, independent of phi_target.  A cut matched exactly on axis
     (collinear, zero mismatch at zero offset) reports 0.0; otherwise the
-    noncollinear bracket [0.1 deg, 15 deg] is searched by bisection and
-    secant, and NoSolutionError signals a bracket with no sign change.
+    noncollinear bracket [0.1 deg, 15 deg] is searched to xtol by the ITP
+    root finder, and NoSolutionError signals a bracket with no sign change.
     """
-    w_half = 0.5 * pump.omega
     tilt = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p)
 
     def mismatch(delta):
-        d = vecgeom.apply_rotation(
-            tilt, vecgeom.direction_from_angles(delta, phi_target))
-        ang = vecgeom.angles_from_direction(d)
-        sig = EmissionCoord(omega=w_half, theta=ang.theta, phi=ang.phi)
+        sig = degenerate_coord(pump, tilt, delta, phi_target)
         return delta_kappa(sig, pump, crystal_spec)
 
     if abs(mismatch(0.0)) < 1e-9:

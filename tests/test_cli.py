@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from spdcmaps import cli, config, mapio, maps, phasematch
+from spdcmaps import cli, compensation, config, mapio, maps, phasematch
 from spdcmaps.errors import ConfigError, DataFormatError
 
 LI_CFG = """\
@@ -175,8 +175,19 @@ def test_parse_override_forms():
         ("pump.wavelength_nm", 405.0)
     assert config.parse_override("source.include_z_offset_phase=true") == \
         ("source.include_z_offset_phase", True)
+    assert config.parse_override("grid.x_min=-5e1") == ("grid.x_min", -50.0)
+    assert config.parse_override('fit.line="5e6"') == ("fit.line", "5e6")
     with pytest.raises(ConfigError):
         config.parse_override("grid.nx")
+
+
+def test_config_file_reads_exponent_floats(tmp_path):
+    p = tmp_path / "exp.yaml"
+    p.write_text(LI_CFG + "grid.x_min: 5e0\nsource.detection_distance_mm: "
+                          "1.2e3\n")
+    rc = config.build_run_config(config.load_config_file(str(p)))
+    assert rc.grid.x_min == 5.0
+    assert rc.source.detection_distance_mm == 1200.0
 
 
 def test_shipped_configs_build():
@@ -297,6 +308,16 @@ def test_cli_delay_map_columns_and_filter(tmp_path, li_cfg, capsys):
     assert "dt_s_fs" in capsys.readouterr().out
 
 
+def test_cli_grid_and_filter_flags_reach_the_sidecar(tmp_path, li_cfg,
+                                                     capsys):
+    out = tmp_path / "d.csv"
+    assert cli.main(["delay-map", "--config", li_cfg, "--grid", "3x2",
+                     "--filter-nm", "690", "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "d.json").read_text())["config"]
+    assert (side["grid.nx"], side["grid.ny"]) == (3, 2)
+    assert side["filter.center_nm"] == 690.0
+
+
 def test_cli_worker_count_does_not_change_bytes(tmp_path, li_cfg, capsys):
     outs = []
     for w in ("1", "3"):
@@ -334,6 +355,10 @@ def test_cli_bad_inputs_exit_config(tmp_path, li_cfg, capsys):
                      "--filter-nm", "100.0",
                      "--out", str(tmp_path / "x.csv")])
     assert code == 2
+    code = cli.main(["phase-map", "--config", li_cfg, "--filter-nm", "inf",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "filter.center_nm" in capsys.readouterr().err
 
 
 def test_cli_io_failures_exit_io(tmp_path, li_cfg, capsys):
@@ -366,11 +391,19 @@ def test_cli_find_tilt_scan_only(bbo_cfg, capsys):
     assert "self-compensating" not in out
 
 
-def test_cli_find_tilt_full(bbo_cfg, capsys):
+def test_cli_find_tilt_full(bbo_cfg, capsys, monkeypatch):
+    scans = []
+    scan_tilt = compensation.scan_tilt
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return scan_tilt(*args, **kwargs)
+    monkeypatch.setattr(compensation, "scan_tilt", counted)
     assert cli.main(["find-tilt", "--config", bbo_cfg]) == 0
     out = capsys.readouterr().out
     assert "self-compensating tilt: 51.22" in out
     assert "residual delay" in out
+    assert len(scans) == 1
 
 
 def test_cli_find_tilt_no_solution(li_cfg, capsys):
