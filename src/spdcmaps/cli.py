@@ -94,7 +94,8 @@ def cmd_phase_match(args):
           f" deg, phi = {math.degrees(coord.phi):.6f} deg")
     print(f"  mismatch residual: {residual:.3e} /mm")
     print(f"  search bracket: [{math.degrees(lo):g}, {math.degrees(hi):g}] "
-          f"deg (collinear accepted at exact zero)")
+          f"deg (collinear accepted below |mismatch| "
+          f"{phasematch.COLLINEAR_MISMATCH_PER_MM:g} /mm)")
     return EXIT_OK
 
 

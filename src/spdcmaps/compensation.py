@@ -165,17 +165,22 @@ def refine_tilt(source, phi_p, scan, target=None, xtol=1e-6):
     taken with the same target.
 
     Refines the scan's sign-change bracket to xtol by the ITP root finder,
-    then re-evaluates the delay there; the angle is returned only when
-    that re-check passes.  Raises NoSolutionError when the scan shows no
-    sign change (or the refined point fails the re-check).
+    reusing the scan's delays at the bracket ends, then re-evaluates the
+    delay there; the angle is returned only when that re-check passes.
+    Raises NoSolutionError when the scan shows no sign change (or the
+    refined point fails the re-check).
     """
     if scan.root is not None:
         return scan.root
     if scan.bracket is None:
         raise NoSolutionError(
             "delay does not change sign over the scanned tilt range")
+    ends = {s.theta_p: s.delay_fs for s in scan.samples
+            if s.theta_p in scan.bracket}
 
     def residual(th):
+        if th in ends:
+            return ends[th]
         return tilt_delay(source, th, phi_p, target)[0]
 
     root = bisect_secant(residual, scan.bracket[0], scan.bracket[1],

@@ -8,12 +8,14 @@ arrival-time difference between those two birth histories, as functions of
 where (and at what frequency) the photons land on a distant detection
 plane, are what this module evaluates, pointwise and on grids.
 
-Pointwise operations take one EmissionCoord and raise on invalid
-kinematics.  Grid sweeps evaluate the same array kernels on blocks of
-whole rows in one serial loop and mark bad cells NaN.  Every kernel is
-elementwise and loop-free (explicit component arithmetic, closed-form
-refraction), so a cell's value does not depend on the block it was
-computed in: pointwise calls reproduce sweep cells bitwise.
+Grid sweeps evaluate array kernels on blocks of whole rows in one serial
+loop and mark bad cells NaN.  Pointwise operations take one EmissionCoord,
+run the same kernels on one-cell arrays, and raise on invalid kinematics;
+the partner photon is located from the signal's transverse components in
+both, the same way.  Every kernel is elementwise and loop-free (explicit
+component arithmetic, closed-form refraction), so a cell's value does not
+depend on the block it was computed in: relative_phase and time_delay for
+either photon reproduce the phase and both delay columns bitwise.
 """
 
 import math
@@ -131,28 +133,29 @@ class _Transit:
         self.valid = np.isfinite(n) & (self.rz > 0.0)
 
 
-def _conjugate_components(pump, w_s, sx, sy):
-    """Partner frequency and transverse direction components (arrays)."""
+def _partner(pump, w_s, sx, sy):
+    """Partner frequency and transverse direction components (arrays) under
+    energy and transverse-momentum conservation; NaN components where the
+    partner is evanescent in air."""
     w_p = pump.omega
     w_i = w_p - w_s
     qpx, qpy = pump.transverse_q()
     scale = w_s / C_NM_FS
-    six = (qpx - scale * np.asarray(sx, dtype=float)) * C_NM_FS / w_i
-    siy = (qpy - scale * np.asarray(sy, dtype=float)) * C_NM_FS / w_i
-    return w_i, six, siy
+    six = (qpx - scale * sx) * C_NM_FS / w_i
+    siy = (qpy - scale * sy) * C_NM_FS / w_i
+    evan = six * six + siy * siy >= 1.0
+    return w_i, np.where(evan, np.nan, six), np.where(evan, np.nan, siy)
 
 
 def _phase_values(source, w_s, sx, sy):
     """Relative phase (radians) for arrays of signal transverse components."""
     spec2 = source.crystal2
     d2 = spec2.length_mm
-    w_i, six, siy = _conjugate_components(source.pump, w_s, sx, sy)
-    evan = six * six + siy * siy >= 1.0
+    w_i, six, siy = _partner(source.pump, w_s, sx, sy)
     total = 0.0
     for w, ax, ay in ((w_s, sx, sy), (w_i, six, siy)):
-        t = _Transit(spec2, w, np.where(evan, np.nan, ax),
-                     np.where(evan, np.nan, ay))
-        term = t.n * t.cos_rho + t.rx * np.asarray(ax, float) + t.ry * np.asarray(ay, float)
+        t = _Transit(spec2, w, ax, ay)
+        term = t.n * t.cos_rho + t.rx * ax + t.ry * ay
         contrib = (w * d2 * 1e6 / (C_NM_FS * t.rz)) * term
         contrib = np.where(t.valid, contrib, np.nan)
         total = total + contrib
@@ -180,16 +183,58 @@ def _delay_values(source, w, sx, sy):
     ng_po = crystal.group_index(source.crystal1.material, source.pump.omega, "o")
     d1 = source.crystal1.length_mm
     d2 = source.crystal2.length_mm
-    # two scaled terms, subtracted last: the pointwise interval code builds
-    # the same pair so that t1 - t2 reproduces this value bitwise
+    # two scaled terms, subtracted last: _interval_values adds this value
+    # to t2, so t1 - t2 reproduces it when the plates are equal
     dt = (1e6 / C_NM_FS) * (d2 * ng_eff / t.rz) \
         - (1e6 / C_NM_FS) * (d1 * ng_po)
     return np.where(t.valid, dt, np.nan)
 
 
-def _signal_components(signal):
-    s = math.sin(signal.theta)
-    return s * math.cos(signal.phi), s * math.sin(signal.phi)
+def _interval_values(source, w, sx, sy):
+    """Birth-to-exit transit times (t1, t2) in fs for the photon species at
+    frequency w located at the given transverse direction components."""
+    c1, c2 = source.crystal1, source.crystal2
+    mu = source.mu
+    w_p = source.pump.omega
+    k = 1e6 / C_NM_FS
+    s2 = sx * sx + sy * sy
+    pe, o = [], []
+    for c in (c1, c2):
+        # pump extraordinary up to the birth depth, then the photon
+        # ordinary from there to the exit face of its birth crystal
+        st = phasematch.pump_internal_state(source.pump, c)
+        ng_pe = crystal.group_index(c.material, w_p, "e",
+                                    cos_alpha=math.cos(st.alpha))
+        n_o = c.material.index_o(crystal.nm_from_omega(w))
+        kz_o = np.sqrt(n_o * n_o - s2) / n_o
+        ng_o = crystal.group_index(c.material, w, "o")
+        pe.append(k * (mu * c.length_mm * ng_pe))
+        o.append(k * ((1.0 - mu) * c.length_mm * ng_o / kz_o))
+    po = k * (c1.length_mm * crystal.group_index(c1.material, w_p, "o"))
+    dt = _delay_values(source, w, sx, sy)
+    t2 = (pe[1] + o[1]) + po
+    # equal birth segments cancel exactly, so equal plates give
+    # t1 - t2 = dt at working precision
+    t1 = t2 + dt + ((pe[0] - pe[1]) + (o[0] - o[1]))
+    return t1, t2
+
+
+def _at(kernel, source, coord, photon="s"):
+    """One-cell evaluation of an array kernel: at coord itself for photon
+    's', at its conjugate partner for 'i', reached as the sweeps reach it.
+    Returns a float or a tuple of floats."""
+    if photon not in ("s", "i"):
+        raise ValueError(f"photon must be 's' or 'i', got {photon!r}")
+    w = coord.omega
+    sx, sy = _transverse(np.array([coord.theta]), np.array([coord.phi]))
+    if photon == "i":
+        phasematch.conjugate(coord, source.pump)  # KinematicsError if none
+        w, sx, sy = _partner(source.pump, w, sx, sy)
+    vals = np.hstack(kernel(source, w, sx, sy))
+    if not np.isfinite(vals).all():
+        raise RefractionError(
+            "no forward extraordinary transit at this coordinate")
+    return float(vals[0]) if vals.size == 1 else tuple(vals.tolist())
 
 
 # ---------------------------------------------------------- pointwise ops
@@ -204,79 +249,8 @@ def relative_phase(source, signal):
     KinematicsError for impossible partners and RefractionError when a
     transit fails.
     """
-    phasematch.conjugate(signal, source.pump)  # proper error reporting
-    sx, sy = _signal_components(signal)
-    val = _phase_values(source, signal.omega,
-                        np.array([sx]), np.array([sy]))
-    v = float(val[0])
-    if not math.isfinite(v):
-        raise RefractionError(
-            "no forward extraordinary transit at this coordinate")
-    return v
-
-
-def _intervals_one(source, coord):
-    """(t1, t2) in fs for the photon species whose air-side coordinate and
-    frequency are given by coord."""
-    w = coord.omega
-    sx, sy = _signal_components(coord)
-    t = _Transit(source.crystal2, w, np.array([sx]), np.array([sy]))
-    if not bool(t.valid[0]):
-        raise RefractionError(
-            "no forward extraordinary transit at this coordinate")
-    ng_eff = float(_group_e_effective(source, w, t)[0])
-    rz = float(t.rz[0])
-
-    c1, c2 = source.crystal1, source.crystal2
-    mu = source.mu
-    d1, d2 = c1.length_mm, c2.length_mm
-
-    # pump extraordinary group transit, per crystal
-    st1 = phasematch.pump_internal_state(source.pump, c1)
-    st2 = phasematch.pump_internal_state(source.pump, c2)
-    w_p = source.pump.omega
-    ng_pe1 = crystal.group_index(c1.material, w_p, "e",
-                                 cos_alpha=math.cos(st1.alpha))
-    ng_pe2 = crystal.group_index(c2.material, w_p, "e",
-                                 cos_alpha=math.cos(st2.alpha))
-    ng_po1 = crystal.group_index(c1.material, w_p, "o")
-
-    # ordinary transit of the photon through its birth crystal
-    s2 = sx * sx + sy * sy
-    kz_o = []
-    for c in (c1, c2):
-        n_o = c.material.index_o(coord.wavelength_nm)
-        kz2 = n_o * n_o - s2
-        if kz2 <= 0.0:
-            raise RefractionError("ordinary wave evanescent in crystal")
-        kz_o.append(math.sqrt(kz2) / n_o)
-    ng_o1 = crystal.group_index(c1.material, coord.omega, "o")
-    ng_o2 = crystal.group_index(c2.material, coord.omega, "o")
-
-    k = 1e6 / C_NM_FS
-    seg_pe1 = k * (mu * d1 * ng_pe1)
-    seg_o1 = k * ((1.0 - mu) * d1 * ng_o1 / kz_o[0])
-    seg_pe2 = k * (mu * d2 * ng_pe2)
-    seg_o2 = k * ((1.0 - mu) * d2 * ng_o2 / kz_o[1])
-    seg_e = k * (d2 * ng_eff / rz)
-    seg_po = k * (d1 * ng_po1)
-    if seg_pe1 == seg_pe2 and seg_o1 == seg_o2:
-        # identical plates: share the common segment sum so t1 - t2
-        # telescopes onto the delay value at working precision
-        t2 = (seg_pe1 + seg_o1) + seg_po
-        t1 = t2 + (seg_e - seg_po)
-    else:
-        t1 = seg_pe1 + seg_o1 + seg_e
-        t2 = seg_po + seg_pe2 + seg_o2
-    return t1, t2
-
-
-def _coord_for_photon(source, signal, photon):
-    if photon == "s":
-        return signal
-    if photon == "i":
-        return phasematch.conjugate(signal, source.pump)
-    raise ValueError(f"photon must be 's' or 'i', got {photon!r}")
+    phasematch.conjugate(signal, source.pump)  # KinematicsError if none
+    return _at(_phase_values, source, signal)
 
 
 def time_intervals(source, signal, photon="s"):
@@ -284,21 +258,14 @@ def time_intervals(source, signal, photon="s"):
     crystals of the selected photon ('s' = the signal itself, 'i' = its
     conjugate partner).  t1 traces a pair born at depth mu*d in the first
     crystal, t2 a pair born at the equivalent depth in the second."""
-    return _intervals_one(source, _coord_for_photon(source, signal, photon))
+    return _at(_interval_values, source, signal, photon)
 
 
 def time_delay(source, signal, photon="s"):
     """Arrival-time difference (fs) between the two birth histories for the
     selected photon; independent of mu, and equal to t1 - t2 when the two
     plates have equal length."""
-    coord = _coord_for_photon(source, signal, photon)
-    sx, sy = _signal_components(coord)
-    val = _delay_values(source, coord.omega, np.array([sx]), np.array([sy]))
-    v = float(val[0])
-    if not math.isfinite(v):
-        raise RefractionError(
-            "no forward extraordinary transit at this coordinate")
-    return v
+    return _at(_delay_values, source, signal, photon)
 
 
 # ------------------------------------------------------------- grid sweeps
@@ -367,19 +334,21 @@ class MapGrid:
                 and all(eq(a, b) for a, b in zip(self.values, other.values)))
 
 
+def _transverse(theta, phi):
+    """Air-side transverse direction components (arrays)."""
+    s = np.sin(theta)
+    return s * np.cos(phi), s * np.sin(phi)
+
+
 def _grid_transverse(source, grid_spec, xs, rows_y):
     """Transverse direction components for a block of grid rows, shape
     (len(rows_y), len(xs))."""
     xs = xs[np.newaxis, :]
     rows_y = rows_y[:, np.newaxis]
     if grid_spec.mode == DETECTION_MODE:
-        ang = vecgeom.detection_point_to_angles(
-            xs, rows_y, source.detection_distance_mm)
-        theta, phi = ang.theta, ang.phi
-    else:
-        theta, phi = np.deg2rad(xs), np.deg2rad(rows_y)
-    s = np.sin(theta)
-    return s * np.cos(phi), s * np.sin(phi)
+        return _transverse(*vecgeom.detection_point_to_angles(
+            xs, rows_y, source.detection_distance_mm))
+    return _transverse(np.deg2rad(xs), np.deg2rad(rows_y))
 
 
 def _default_workers():
@@ -394,21 +363,36 @@ def _default_workers():
 _CHUNK_CELLS = 8192
 
 
-def _sweep(source, grid_spec, kernel, n_planes):
+def _phase_planes(source, w_s, sx, sy):
+    return (np.degrees(_phase_values(source, w_s, sx, sy)),)
+
+
+def _delay_planes(source, w_s, sx, sy):
+    return (_delay_values(source, w_s, sx, sy),
+            _delay_values(source, *_partner(source.pump, w_s, sx, sy)))
+
+
+def _sweep(source, grid_spec, filter_center_nm, kind, value_names, kernel):
+    """MapGrid of the kernel's planes, evaluated at the filter's signal
+    frequency (degenerate when filter_center_nm is None) on blocks of
+    whole grid rows."""
+    w_s = (crystal.omega_from_nm(filter_center_nm) if filter_center_nm
+           else 0.5 * source.pump.omega)
     xs, ys = grid_spec.axes()
-    planes = [np.empty((grid_spec.ny, grid_spec.nx)) for _ in range(n_planes)]
+    planes = [np.empty((grid_spec.ny, grid_spec.nx)) for _ in value_names]
     rows = max(1, _CHUNK_CELLS // grid_spec.nx)
     for i in range(0, grid_spec.ny, rows):
         sx, sy = _grid_transverse(source, grid_spec, xs, ys[i:i + rows])
-        for plane, vals in zip(planes, kernel(sx, sy)):
+        for plane, vals in zip(planes, kernel(source, w_s, sx, sy)):
             plane[i:i + rows] = vals
-    return xs, ys, planes
-
-
-def _coord_names(mode):
-    if mode == DETECTION_MODE:
-        return ("x_mm", "y_mm")
-    return ("theta_deg", "phi_deg")
+    meta = {"source": source_snapshot(source),
+            "filter_nm": (filter_center_nm if filter_center_nm
+                          else 2.0 * source.pump.wavelength_nm)}
+    coord_names = (("x_mm", "y_mm") if grid_spec.mode == DETECTION_MODE
+                   else ("theta_deg", "phi_deg"))
+    return MapGrid(kind=kind, mode=grid_spec.mode, coord1=xs, coord2=ys,
+                   coord_names=coord_names, value_names=value_names,
+                   values=tuple(planes), metadata=meta)
 
 
 def sweep_phase_map(source, grid_spec, filter_center_nm=None, workers=None):
@@ -418,46 +402,16 @@ def sweep_phase_map(source, grid_spec, filter_center_nm=None, workers=None):
     means degenerate (twice the pump wavelength).  workers is accepted
     for compatibility and has no effect: the sweep runs on one thread.
     """
-    w_s = (crystal.omega_from_nm(filter_center_nm) if filter_center_nm
-           else 0.5 * source.pump.omega)
-
-    def kernel(sx, sy):
-        return (np.degrees(_phase_values(source, w_s, sx, sy)),)
-
-    xs, ys, planes = _sweep(source, grid_spec, kernel, 1)
-    meta = {"source": source_snapshot(source),
-            "filter_nm": (filter_center_nm if filter_center_nm
-                          else 2.0 * source.pump.wavelength_nm)}
-    return MapGrid(kind="phase", mode=grid_spec.mode, coord1=xs, coord2=ys,
-                   coord_names=_coord_names(grid_spec.mode),
-                   value_names=("phase_deg",), values=tuple(planes),
-                   metadata=meta)
+    return _sweep(source, grid_spec, filter_center_nm, "phase",
+                  ("phase_deg",), _phase_planes)
 
 
 def sweep_delay_map(source, grid_spec, filter_center_nm=None, workers=None):
     """Time-delay map: per cell, the delay of the photon detected there
     behind the filter (dt_s_fs) and the delay of its conjugate partner
     (dt_i_fs).  workers has no effect, as in sweep_phase_map."""
-    w_s = (crystal.omega_from_nm(filter_center_nm) if filter_center_nm
-           else 0.5 * source.pump.omega)
-
-    def kernel(sx, sy):
-        dts = _delay_values(source, w_s, sx, sy)
-        w_i, six, siy = _conjugate_components(source.pump, w_s, sx, sy)
-        evan = six * six + siy * siy >= 1.0
-        dti = _delay_values(source, w_i,
-                            np.where(evan, np.nan, six),
-                            np.where(evan, np.nan, siy))
-        return dts, dti
-
-    xs, ys, planes = _sweep(source, grid_spec, kernel, 2)
-    meta = {"source": source_snapshot(source),
-            "filter_nm": (filter_center_nm if filter_center_nm
-                          else 2.0 * source.pump.wavelength_nm)}
-    return MapGrid(kind="delay", mode=grid_spec.mode, coord1=xs, coord2=ys,
-                   coord_names=_coord_names(grid_spec.mode),
-                   value_names=("dt_s_fs", "dt_i_fs"), values=tuple(planes),
-                   metadata=meta)
+    return _sweep(source, grid_spec, filter_center_nm, "delay",
+                  ("dt_s_fs", "dt_i_fs"), _delay_planes)
 
 
 # ---------------------------------------------------------------- analysis

@@ -137,9 +137,14 @@ def delta_kappa(signal, pump, crystal_spec):
     transverse wavevectors: pump extraordinary at its self-consistent
     index, signal and idler ordinary.
     """
+    return _mismatch(signal, pump, crystal_spec,
+                     pump_internal_state(pump, crystal_spec))
+
+
+def _mismatch(signal, pump, crystal_spec, state):
+    """delta_kappa with the pump's internal state already solved."""
     idler = conjugate(signal, pump)
     w_p = pump.omega
-    state = pump_internal_state(pump, crystal_spec)
     qpx, qpy = pump.transverse_q()
     qsx, qsy = signal.transverse_q()
     qix, qiy = qpx - qsx, qpy - qsy
@@ -164,6 +169,10 @@ def amplitude_weight(dk_per_mm, d_mm):
     return BiphotonWeight(magnitude=abs(s), phase=phase)
 
 
+# a zero-offset mismatch below this magnitude (1/mm) counts as collinear
+# phase matching
+COLLINEAR_MISMATCH_PER_MM = 1e-9
+
 _BRACKET_LO = math.radians(0.1)
 _BRACKET_HI = math.radians(15.0)
 
@@ -173,9 +182,15 @@ DEGENERATE_SEARCH_BRACKET = (_BRACKET_LO, _BRACKET_HI)
 
 def degenerate_coord(pump, tilt, delta, phi):
     """Laboratory coordinate at omega_p/2 of the point (delta, phi) on the
-    cone around the pump; tilt is the pump's vecgeom.tilt_rotation."""
+    cone around the pump; tilt is the pump's vecgeom.tilt_rotation.
+    Raises KinematicsError when that point does not leave through the
+    exit face (polar angle of 90 degrees or more)."""
     d = vecgeom.apply_rotation(tilt, vecgeom.direction_from_angles(delta, phi))
     ang = vecgeom.angles_from_direction(d)
+    if not ang.theta < 0.5 * math.pi:
+        raise KinematicsError(
+            f"cone point at polar angle {math.degrees(ang.theta):.6g} deg "
+            f"does not leave through the exit face")
     return EmissionCoord(omega=0.5 * pump.omega, theta=ang.theta, phi=ang.phi)
 
 
@@ -188,16 +203,18 @@ def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0,
     cone opening where the longitudinal mismatch crosses zero.  At normal
     incidence this is simply the external polar angle of the degenerate
     ring, independent of phi_target.  A cut matched exactly on axis
-    (collinear, zero mismatch at zero offset) reports 0.0; otherwise the
-    noncollinear bracket [0.1 deg, 15 deg] is searched to xtol by the ITP
-    root finder, and NoSolutionError signals a bracket with no sign change.
+    (collinear, |mismatch| below COLLINEAR_MISMATCH_PER_MM at zero offset)
+    reports 0.0; otherwise the noncollinear bracket [0.1 deg, 15 deg] is
+    searched to xtol by the ITP root finder, and NoSolutionError signals a
+    bracket with no sign change.
     """
     tilt = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p)
+    state = pump_internal_state(pump, crystal_spec)
 
     def mismatch(delta):
         sig = degenerate_coord(pump, tilt, delta, phi_target)
-        return delta_kappa(sig, pump, crystal_spec)
+        return _mismatch(sig, pump, crystal_spec, state)
 
-    if abs(mismatch(0.0)) < 1e-9:
+    if abs(mismatch(0.0)) < COLLINEAR_MISMATCH_PER_MM:
         return 0.0
     return bisect_secant(mismatch, _BRACKET_LO, _BRACKET_HI, xtol=xtol)

@@ -399,11 +399,21 @@ def test_cli_find_tilt_full(bbo_cfg, capsys, monkeypatch):
         scans.append(args)
         return scan_tilt(*args, **kwargs)
     monkeypatch.setattr(compensation, "scan_tilt", counted)
+    delays = []
+    tilt_delay = compensation.tilt_delay
+
+    def counted_delay(*args, **kwargs):
+        delays.append(args)
+        return tilt_delay(*args, **kwargs)
+    monkeypatch.setattr(compensation, "tilt_delay", counted_delay)
     assert cli.main(["find-tilt", "--config", bbo_cfg]) == 0
     out = capsys.readouterr().out
     assert "self-compensating tilt: 51.22" in out
     assert "residual delay" in out
     assert len(scans) == 1
+    # 3 scan samples, 7 solver steps inside the bracket, the re-check
+    # and the printed root; the bracket ends come from the scan
+    assert len(delays) == 12
 
 
 def test_cli_find_tilt_no_solution(li_cfg, capsys):
@@ -412,6 +422,21 @@ def test_cli_find_tilt_no_solution(li_cfg, capsys):
                      "--set", "tilt.n_samples=5"])
     assert code == 3
     assert "no solution" in capsys.readouterr().err
+    # negative tilts that carry the degenerate cone past 90 degrees
+    shipped = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "configs")
+    for argv in (["phase-match", "--config",
+                  os.path.join(shipped, "bbo_normal.yaml"),
+                  "--set", "pump.theta_p_deg=-76"],
+                 ["find-tilt", "--config",
+                  os.path.join(shipped, "bbo_tilt52.yaml"),
+                  "--set", "tilt.theta_min_deg=-85",
+                  "--set", "tilt.theta_max_deg=-70",
+                  "--set", "tilt.n_samples=4"]):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "no solution" in err
+        assert "Traceback" not in err
 
 
 def test_cli_fit_from_config_and_from_profile(tmp_path, li_cfg, capsys):

@@ -244,6 +244,25 @@ def test_single_cell_sweep_matches_pointwise():
     assert dm.values[1][0, 0] == maps.time_delay(LI, c, "i")
 
 
+def test_pointwise_calls_reproduce_every_sweep_cell():
+    gs = maps.GridSpec(41, 41, -60.0, 60.0, -60.0, 60.0)
+    for source, filter_nm in ((LI, None), (BBO, 702.2)):
+        pm = maps.sweep_phase_map(source, gs, filter_center_nm=filter_nm)
+        dm = maps.sweep_delay_map(source, gs, filter_center_nm=filter_nm)
+        w = (crystal.omega_from_nm(filter_nm) if filter_nm
+             else 0.5 * source.pump.omega)
+        xs, ys = gs.axes()
+        for i, y in enumerate(ys):
+            # cell angles built as the sweep builds them, one row at a time
+            th, ph = vecgeom.detection_point_to_angles(xs, y, L_MM)
+            for j in range(gs.nx):
+                c = EmissionCoord(w, float(th[j]), float(ph[j]))
+                assert math.degrees(maps.relative_phase(source, c)) == \
+                    pm.values[0][i, j]
+                assert maps.time_delay(source, c, "s") == dm.values[0][i, j]
+                assert maps.time_delay(source, c, "i") == dm.values[1][i, j]
+
+
 def test_sweep_worker_count_invariance():
     gs = maps.GridSpec(31, 29, -60.0, 60.0, -60.0, 60.0)
     ref = maps.sweep_phase_map(LI, gs, workers=1)

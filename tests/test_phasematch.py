@@ -225,6 +225,19 @@ def test_degenerate_angle_collinear_cut_returns_zero():
     assert abs(delta) < 1e-6
 
 
+def test_degenerate_angle_solves_the_pump_state_once(monkeypatch):
+    calls = []
+    solve = phasematch.pump_internal_state
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(phasematch, "pump_internal_state", counted)
+    delta = phasematch.degenerate_emission_angle(BBO_SPEC, PUMP_405)
+    assert math.degrees(delta) == pytest.approx(3.21715, abs=1e-5)
+    assert len(calls) == 1
+
+
 def test_degenerate_angle_no_crossing_raises():
     # a cut far from matching leaves the bracket sign-definite
     spec = crystal.CrystalSpec(BBO, 0.6, math.radians(5.0), 0.0)
