@@ -3,7 +3,8 @@
 Sellmeier coefficient sets live in data/materials.yaml and are loaded once
 into an immutable registry.  On top of them: ordinary / extraordinary /
 angle-dependent refractive indices, group indices from the closed-form
-derivative of the fits, and the walkoff (Poynting) ray construction.
+derivative of the fits, and the walkoff (Poynting) ray as the closed-form
+normal of the index surface at the wavevector.
 
 Unit conventions, used across the whole package:
     lengths mm, wavelengths nm, time fs, angular frequency rad/fs,
@@ -84,10 +85,14 @@ class Material:
     def index_e(self, lam_nm, cos_alpha):
         """Extraordinary index at angle alpha to the optic axis (ellipsoid
         section), parameterized by cos(alpha) which is what callers have."""
-        n_o = self.index_o(lam_nm)
-        n_ep = self.index_e_principal(lam_nm)
-        ca2 = np.asarray(cos_alpha) * np.asarray(cos_alpha)
-        return 1.0 / np.sqrt(ca2 / (n_o * n_o) + (1.0 - ca2) / (n_ep * n_ep))
+        return _section_index(self.index_o(lam_nm),
+                              self.index_e_principal(lam_nm), cos_alpha)
+
+
+def _section_index(n_o, n_ep, cos_alpha):
+    """Index-ellipsoid section at axis cosine cos_alpha."""
+    ca2 = np.asarray(cos_alpha) * np.asarray(cos_alpha)
+    return 1.0 / np.sqrt(ca2 / (n_o * n_o) + (1.0 - ca2) / (n_ep * n_ep))
 
 
 def _load_registry_dict(raw):
@@ -181,8 +186,8 @@ def group_index(material, omega, polarization="o", cos_alpha=None):
                 - lam * _fit_slope(material.extraordinary, lam))
     nn_o = material.index_o(lam)
     nn_ep = material.index_e_principal(lam)
+    n = _section_index(nn_o, nn_ep, cos_alpha)
     ca2 = np.asarray(cos_alpha) * np.asarray(cos_alpha)
-    n = 1.0 / np.sqrt(ca2 / (nn_o * nn_o) + (1.0 - ca2) / (nn_ep * nn_ep))
     slope = (n * n * n) * (
         ca2 * _fit_slope(material.ordinary, lam) / (nn_o * nn_o * nn_o)
         + (1.0 - ca2) * _fit_slope(material.extraordinary, lam)
@@ -200,43 +205,45 @@ def walkoff_angle(material, omega, cos_alpha):
     lam = nm_from_omega(omega)
     nn_o = material.index_o(lam)
     nn_e = material.index_e_principal(lam)
-    n = material.index_e(lam, cos_alpha)
+    n = _section_index(nn_o, nn_e, cos_alpha)
     ca = np.asarray(cos_alpha, dtype=float)
     sin2a = 2.0 * ca * np.sqrt(np.maximum(1.0 - ca * ca, 0.0))
     return np.arctan(
         0.5 * n * n * (1.0 / (nn_e * nn_e) - 1.0 / (nn_o * nn_o)) * sin2a)
 
 
-_AXIS_EPS = 1e-15
-
-
 def walkoff_ray(k_e, crystal_spec, omega):
-    """Unit Poynting (ray) direction for an extraordinary wave.
-
-    Rotates k_e by the walkoff angle within the (k_e, optic axis) plane,
-    away from the axis.  Works on (..., 3) stacks; along the axis (or
-    perpendicular to it) the walkoff vanishes and the ray equals k_e.
+    """Unit Poynting (ray) direction for an extraordinary wave: the normal
+    of the index surface at the unit wavevector k_e.  It leans away from
+    the optic axis by the walkoff angle in the (k_e, axis) plane and equals
+    k_e along the axis and perpendicular to it.  Works on (..., 3) stacks.
     """
     k = np.asarray(k_e, dtype=float)
+    return _surface_normal_ray(k, crystal_spec, omega)[0]
+
+
+def _surface_normal_ray(k, crystal_spec, omega):
+    """(ray, cos rho, ray . a, k . a) for unit wavevectors k, with a the
+    optic axis and rho the walkoff angle.  The ray is along the index-surface
+    normal g = k / n_e^2 + (1/n_o^2 - 1/n_e^2)(k . a) a.  |g|, cos rho and
+    ray . a are closed forms in k . a, not dot products of the ray, so
+    sub-ulp residue in its components stays out of the group terms."""
     axis = crystal_spec.axis_direction()
     ca = np.asarray(
         k[..., 0] * axis[0] + k[..., 1] * axis[1] + k[..., 2] * axis[2])
-    rho = np.asarray(walkoff_angle(crystal_spec.material, omega, ca))
-    return _turn_from_axis(k, axis, ca, rho)
+    lam = nm_from_omega(omega)
+    n_o = crystal_spec.material.index_o(lam)
+    n_ep = crystal_spec.material.index_e_principal(lam)
+    inv_o2 = 1.0 / (n_o * n_o)
+    inv_e2 = 1.0 / (n_ep * n_ep)
+    A = inv_o2 - inv_e2
+    ca2 = ca * ca
+    g = np.sqrt((1.0 - ca2) * (inv_e2 * inv_e2) + ca2 * (inv_o2 * inv_o2))
+    ray = (inv_e2 * k + (A * ca)[..., np.newaxis] * axis) / g[..., np.newaxis]
+    return ray, (inv_e2 + A * ca2) / g, ca * inv_o2 / g, ca
 
 
-def _turn_from_axis(k, axis, ca, rho):
-    """k turned by rho away from the axis in their common plane, given the
-    axis cosine ca = k . axis; k itself where that plane is undefined."""
-    # in-plane unit vector pointing from k toward the axis
-    perp = axis - ca[..., np.newaxis] * k
-    pn = np.sqrt(perp[..., 0] ** 2 + perp[..., 1] ** 2 + perp[..., 2] ** 2)
-    safe = pn > _AXIS_EPS
-    u = perp / np.where(safe, pn, 1.0)[..., np.newaxis]
-    ray = np.cos(rho)[..., np.newaxis] * k - np.sin(rho)[..., np.newaxis] * u
-    if np.ndim(safe) == 0:
-        return ray if safe else k.copy()
-    return np.where(safe[..., np.newaxis], ray, k)
+_AXIS_EPS = 1e-15
 
 
 @dataclass(frozen=True)

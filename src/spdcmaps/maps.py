@@ -13,9 +13,10 @@ loop and mark bad cells NaN.  Pointwise operations take one EmissionCoord,
 run the same kernels on one-cell arrays, and raise on invalid kinematics;
 the partner photon is located from the signal's transverse components in
 both, the same way.  Every kernel is elementwise and loop-free (explicit
-component arithmetic, closed-form refraction), so a cell's value does not
-depend on the block it was computed in: relative_phase and time_delay for
-either photon reproduce the phase and both delay columns bitwise.
+component arithmetic, closed-form refraction and walkoff ray), so a
+cell's value does not depend on the block it was computed in:
+relative_phase and time_delay for either photon reproduce the phase and
+both delay columns bitwise.
 """
 
 import math
@@ -42,8 +43,9 @@ class SourceConfig:
     mu is the fractional pair-birth depth used by the interval formulas
     (the delay itself is mu-free).  group_convention selects how the
     extraordinary group transit through the second crystal is reckoned:
-    "ray" evaluates the group index at the walkoff-ray angle and projects
-    it onto the wavevector, "wavevector" uses the wavevector angle
+    "ray" evaluates the group index at the axis cosine of the ray (the
+    index-surface normal) and scales it by cos rho, the ray's projection
+    onto the wavevector; "wavevector" uses the wavevector's axis cosine
     directly.  The two differ by well under a percent in transit time but
     the difference matters when hunting the self-compensating tilt.
     """
@@ -115,18 +117,9 @@ class _Transit:
         k_air = np.stack(np.broadcast_arrays(sx, sy, sz), axis=-1)
         K, n = vecgeom.refract_into_extraordinary(
             k_air, Z_NORMAL, 1.0, omega, spec)
-        axis = spec.axis_direction()
-        ca = vecgeom.dot3(K, axis)
-        rho = crystal.walkoff_angle(spec.material, omega, ca)
-        ray = crystal._turn_from_axis(K, axis, ca, rho)
-        # the ray is K turned by rho away from the axis in their common
-        # plane, so its axis cosine is cos(alpha + rho); the closed form
-        # keeps the group term insensitive to sub-ulp residue in the ray
+        ray, self.cos_rho, self.ca_ray, self.ca_k = \
+            crystal._surface_normal_ray(K, spec, omega)
         self.n = n
-        self.ca_k = ca
-        self.cos_rho = np.cos(rho)
-        self.ca_ray = (ca * self.cos_rho
-                       - np.sqrt(np.maximum(1.0 - ca * ca, 0.0)) * np.sin(rho))
         self.rx = ray[..., 0]
         self.ry = ray[..., 1]
         self.rz = ray[..., 2]

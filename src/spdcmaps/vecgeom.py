@@ -20,7 +20,7 @@ from .errors import RefractionError
 __all__ = [
     "SphericalAngles", "direction_from_angles", "angles_from_direction",
     "rotation_y", "rotation_z", "pump_frame_rotation", "tilt_rotation",
-    "apply_rotation", "dot3", "norm3", "normalize",
+    "apply_rotation", "dot3", "norm3",
     "refract_ordinary", "refract_into_extraordinary",
     "detection_point_to_angles",
 ]
@@ -51,11 +51,6 @@ def dot3(a, b):
 
 def norm3(v):
     return np.sqrt(dot3(v, v))
-
-
-def normalize(v):
-    v = np.asarray(v, dtype=float)
-    return v / norm3(v)[..., np.newaxis]
 
 
 def direction_from_angles(theta, phi):

@@ -247,6 +247,42 @@ def test_walkoff_ray_geometry():
             math.acos(np.clip(ca, -1, 1)) - 1e-15
 
 
+def test_surface_normal_ray_is_k_turned_by_walkoff_angle():
+    # reference ray: k turned by rho away from the axis in their common
+    # plane, k itself where that plane is undefined
+    def turned(k, axis, rho):
+        perp = axis - float(np.dot(k, axis)) * k
+        pn = float(np.linalg.norm(perp))
+        if pn < 1e-15:
+            return k
+        return math.cos(rho) * k - math.sin(rho) * perp / pn
+
+    rng = np.random.default_rng(7)
+    for mat, theta_a, ws in ((BBO, 29.3, (W_405, W_702, W_810)),
+                             (LIIO3, 51.95, (W_351, W_702, W_810))):
+        for phi_a in (0.0, 37.0, 90.0):
+            ta, pa = math.radians(theta_a), math.radians(phi_a)
+            spec = crystal.CrystalSpec(mat, 1.0, ta, pa)
+            axis = spec.axis_direction()
+            across = np.array([math.cos(ta) * math.cos(pa),
+                               math.cos(ta) * math.sin(pa), -math.sin(ta)])
+            ks = [axis, across]
+            for _ in range(20):
+                th, ph = rng.uniform(0.0, 1.2), rng.uniform(-math.pi, math.pi)
+                ks.append(np.array([math.sin(th) * math.cos(ph),
+                                    math.sin(th) * math.sin(ph), math.cos(th)]))
+            for w in ws:
+                for k in ks:
+                    ca = k[0] * axis[0] + k[1] * axis[1] + k[2] * axis[2]
+                    rho = float(crystal.walkoff_angle(mat, w, ca))
+                    ray, cos_rho, ca_ray, _ = crystal._surface_normal_ray(
+                        k, spec, w)
+                    assert np.max(np.abs(ray - turned(k, axis, rho))) <= 1e-14
+                    assert abs(cos_rho - float(np.dot(ray, k))) <= 1e-14
+                    assert abs(ca_ray - float(np.dot(ray, axis))) <= 1e-14
+                    assert np.array_equal(crystal.walkoff_ray(k, spec, w), ray)
+
+
 def test_walkoff_ray_along_axis_passthrough():
     spec = crystal.CrystalSpec(BBO, 0.6, math.radians(29.3), 0.0)
     k = spec.axis_direction()
