@@ -51,18 +51,23 @@ def _load_run(args):
 
 
 def _write_grid(grid, out, rc):
+    ny, nx = grid.values[0].shape
+    for name, plane in zip(grid.value_names, grid.values):
+        if not np.isfinite(plane).any():
+            x, y = grid.coord_names
+            raise KinematicsError(
+                f"{name}: no cell of the {ny} x {nx} window {x} "
+                f"[{grid.coord1[0]:g}, {grid.coord1[-1]:g}], {y} "
+                f"[{grid.coord2[0]:g}, {grid.coord2[-1]:g}] had a valid "
+                f"transit (every cell NA); nothing written")
     path = mapio.write_map_csv(grid, out, __version__)
     side = mapio.write_sidecar(out, grid, __version__,
                                extra={"config": rc.flat})
-    ny, nx = grid.values[0].shape
     print(f"wrote {path} ({ny} x {nx} {grid.kind} map) + {side}")
     for name, plane in zip(grid.value_names, grid.values):
         good = np.isfinite(plane)
-        if good.any():
-            print(f"  {name}: [{plane[good].min():.6g}, "
-                  f"{plane[good].max():.6g}], {int((~good).sum())} NA cells")
-        else:
-            print(f"  {name}: all cells NA")
+        print(f"  {name}: [{plane[good].min():.6g}, "
+              f"{plane[good].max():.6g}], {int((~good).sum())} NA cells")
     return EXIT_OK
 
 

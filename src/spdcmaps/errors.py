@@ -33,7 +33,7 @@ class RefractionError(SpdcError):
 
 class KinematicsError(SpdcError):
     """No propagating partner wave exists for the requested coordinate
-    (evanescent conjugate)."""
+    (evanescent conjugate), or no cell of a map has a valid transit."""
 
 
 class NoSolutionError(SpdcError):

@@ -1,14 +1,14 @@
 """Text export and import of map grids and fit profiles.
 
-CSV bodies are deterministic: fixed 17-significant-digit float
-formatting (lossless for doubles), fixed row order, invalid cells
-spelled ``NA``, Unix newlines, and no timestamps, so the same grid
-always serializes to the same bytes.  Wall-clock information lives only
-in the JSON sidecar written next to the data file.
+Maps and profiles share one CSV layout: a ``# spdcmaps map`` first line
+(``# spdcmaps map profile``), ``# key: value`` header lines, then one
+comma-separated row per sample, for maps one per cell with ``coord1``
+varying fastest.  Floats carry 17 significant digits, so they read back
+bitwise, and invalid cells are spelled ``NA``.  The same data always
+gives the same bytes; the only timestamp is in the JSON sidecar.
 """
 
 import json
-import math
 import os
 from datetime import datetime, timezone
 
@@ -20,17 +20,23 @@ from .maps import MapGrid
 FORMAT_NAME = "spdcmaps map"
 
 
-def _fmt(v):
-    v = float(v)
-    if math.isnan(v):
-        return "NA"
-    return "%.17g" % v
+def _column(values):
+    """Cell strings of a float array: 17 significant digits, NaN as NA."""
+    return ["NA" if v != v else "%.17g" % v
+            for v in np.ravel(values).tolist()]
 
 
-def _parse(tok):
-    if tok == "NA":
-        return math.nan
-    return float(tok)
+def _write_table(path, title, fields, meta, columns):
+    """'# <title>', a '# key: value' line per field and '# meta: <json>',
+    then one comma-separated row per index of the string columns."""
+    lines = [f"# {title}"]
+    lines += (f"# {key}: {value}" for key, value in fields)
+    lines.append("# meta: " + json.dumps(meta, sort_keys=True,
+                                         separators=(",", ":")))
+    lines += map(",".join, zip(*columns))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
 
 
 def sidecar_path(path):
@@ -42,25 +48,13 @@ def sidecar_path(path):
 def write_map_csv(grid, path, version):
     """Serialize a MapGrid to CSV.  Returns the path written."""
     ny, nx = grid.values[0].shape
-    lines = [
-        f"# {FORMAT_NAME}",
-        f"# version: {version}",
-        f"# kind: {grid.kind}",
-        f"# mode: {grid.mode}",
-        f"# shape: {ny} {nx}",
-        "# columns: " + ",".join(grid.coord_names + grid.value_names),
-        "# meta: " + json.dumps(grid.metadata, sort_keys=True,
-                                separators=(",", ":")),
-    ]
-    for i in range(ny):
-        c2 = _fmt(grid.coord2[i])
-        for j in range(nx):
-            cells = [_fmt(grid.coord1[j]), c2]
-            cells += [_fmt(plane[i, j]) for plane in grid.values]
-            lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    fields = (("version", version), ("kind", grid.kind),
+              ("mode", grid.mode), ("shape", f"{ny} {nx}"),
+              ("columns", ",".join(grid.coord_names + grid.value_names)))
+    coord2 = [c for c in _column(grid.coord2) for _ in range(nx)]
+    return _write_table(
+        path, FORMAT_NAME, fields, grid.metadata,
+        [_column(grid.coord1) * ny, coord2, *map(_column, grid.values)])
 
 
 def write_sidecar(path, grid, version, extra=None):
@@ -89,25 +83,23 @@ def read_map_csv(path):
     """Parse a CSV written by write_map_csv back into a MapGrid.
 
     The reconstruction is exact: every float (coordinates included)
-    round-trips bitwise through the 17-digit formatting.
+    round-trips bitwise through the 17-digit formatting.  A file that is
+    not a map, lacks a header field, has missing or ragged rows, or holds
+    a non-numeric cell raises DataFormatError naming the path.
     """
     header = {}
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != f"# {FORMAT_NAME}":
             raise DataFormatError(
                 f"{path}: not a {FORMAT_NAME} file (leading line {first!r})")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, sep, value = line[1:].strip().partition(":")
-                if sep:
-                    header[key.strip()] = value.strip()
-                continue
-            rows.append(line.split(","))
+        line = fh.readline()
+        while line.startswith("#"):
+            key, sep, value = line[1:].strip().partition(":")
+            if sep:
+                header[key.strip()] = value.strip()
+            line = fh.readline()
+        rows = (line + fh.read()).strip().replace("NA", "nan").splitlines()
     try:
         ny, nx = (int(t) for t in header["shape"].split())
         cols = tuple(header["columns"].split(","))
@@ -116,35 +108,28 @@ def read_map_csv(path):
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{path}: missing or bad header ({exc})") \
             from None
-    if len(rows) != ny * nx or any(len(r) != len(cols) for r in rows):
-        raise DataFormatError(
-            f"{path}: expected {ny * nx} rows of {len(cols)} columns")
+    bad_shape = DataFormatError(
+        f"{path}: expected {ny * nx} rows of {len(cols)} columns")
+    # checked first: loadtxt warns on an empty body instead of raising
+    if not rows or len(rows) != ny * nx:
+        raise bad_shape
     try:
-        data = np.array([[_parse(tok) for tok in row] for row in rows])
+        data = np.loadtxt(rows, delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
+        if any(row.count(",") != len(cols) - 1 for row in rows):
+            raise bad_shape from None
         raise DataFormatError(f"{path}: bad numeric cell ({exc})") from None
-    meta = json.loads(header.get("meta", "{}"))
+    if data.shape != (ny * nx, len(cols)):
+        raise bad_shape
+    planes = data.T.copy().reshape(len(cols), ny, nx)
     return MapGrid(
-        kind=kind, mode=mode,
-        coord1=data[:nx, 0].copy(),
-        coord2=data[::nx, 1].copy(),
-        coord_names=cols[:2], value_names=cols[2:],
-        values=tuple(data[:, 2 + k].reshape(ny, nx).copy()
-                     for k in range(len(cols) - 2)),
-        metadata=meta)
+        kind=kind, mode=mode, coord1=planes[0, 0], coord2=planes[1, :, 0],
+        coord_names=cols[:2], value_names=cols[2:], values=tuple(planes[2:]),
+        metadata=json.loads(header.get("meta", "{}")))
 
 
 def write_profile_csv(path, version, columns, arrays, meta):
-    """Three-or-so-column profile export (fit output), same conventions."""
-    n = len(arrays[0])
-    lines = [
-        f"# {FORMAT_NAME} profile",
-        f"# version: {version}",
-        "# columns: " + ",".join(columns),
-        "# meta: " + json.dumps(meta, sort_keys=True, separators=(",", ":")),
-    ]
-    for i in range(n):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    """Profile export (fit output) in the map layout, one row per sample."""
+    fields = (("version", version), ("columns", ",".join(columns)))
+    return _write_table(path, f"{FORMAT_NAME} profile", fields, meta,
+                        map(_column, arrays))

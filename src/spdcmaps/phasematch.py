@@ -17,7 +17,7 @@ import numpy as np
 
 from . import crystal, vecgeom
 from .crystal import C_NM_FS
-from .errors import KinematicsError
+from .errors import KinematicsError, NoSolutionError
 from .solvers import bisect_secant
 
 Z_NORMAL = np.array([0.0, 0.0, 1.0])
@@ -206,7 +206,8 @@ def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0,
     (collinear, |mismatch| below COLLINEAR_MISMATCH_PER_MM at zero offset)
     reports 0.0; otherwise the noncollinear bracket [0.1 deg, 15 deg] is
     searched to xtol by the ITP root finder, and NoSolutionError signals a
-    bracket with no sign change.
+    bracket with no sign change, quoting the bracket in degrees and the
+    mismatch at its ends.
     """
     tilt = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p)
     state = pump_internal_state(pump, crystal_spec)
@@ -217,4 +218,12 @@ def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0,
 
     if abs(mismatch(0.0)) < COLLINEAR_MISMATCH_PER_MM:
         return 0.0
-    return bisect_secant(mismatch, _BRACKET_LO, _BRACKET_HI, xtol=xtol)
+    try:
+        return bisect_secant(mismatch, _BRACKET_LO, _BRACKET_HI, xtol=xtol)
+    except NoSolutionError:
+        raise NoSolutionError(
+            f"no degenerate phase matching on the cone bracket "
+            f"[{math.degrees(_BRACKET_LO):g}, {math.degrees(_BRACKET_HI):g}]"
+            f" deg at cone azimuth {math.degrees(phi_target):g} deg: the "
+            f"mismatch keeps its sign ({mismatch(_BRACKET_LO):.6g} and "
+            f"{mismatch(_BRACKET_HI):.6g} /mm at the ends)") from None

@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdcmaps import cli, compensation, config, mapio, maps, phasematch
 from spdcmaps.errors import ConfigError, DataFormatError
@@ -266,6 +269,124 @@ def test_read_map_csv_rejects_truncation(tmp_path):
         mapio.read_map_csv(str(tmp_path / "u.csv"))
 
 
+def _drop_last_cell(lines):
+    return lines[:12] + [lines[12].rsplit(",", 1)[0]] + lines[13:]
+
+
+def _spoil_last_cell(lines):
+    return lines[:12] + [lines[12].rsplit(",", 1)[0] + ",1.5x"] + lines[13:]
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda lines: lines[:7], "expected 35 rows of 4 columns"),
+    (_drop_last_cell, "expected 35 rows of 4 columns"),
+    (_spoil_last_cell, "bad numeric cell"),
+], ids=["header-only", "ragged-row", "non-numeric-cell"])
+def test_read_map_csv_names_layout_errors(tmp_path, mangle, message):
+    p = tmp_path / "m.csv"
+    mapio.write_map_csv(_small_map(), str(p), "0.0-test")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(mangle(p.read_text().splitlines())) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match=message) as exc:
+            mapio.read_map_csv(str(bad))
+    assert str(exc.value).startswith(f"{bad}: ")
+
+
+# the writer as one loop over cells: the reference the codec must match
+def _oracle_cell(v):
+    v = float(v)
+    return "NA" if math.isnan(v) else "%.17g" % v
+
+
+def _oracle_table(title, header, rows):
+    lines = [f"# {title}"] + [f"# {key}: {value}" for key, value in header]
+    lines += [",".join(_oracle_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _meta_json(meta):
+    return json.dumps(meta, sort_keys=True, separators=(",", ":"))
+
+
+def _oracle_map(grid, version):
+    ny, nx = grid.values[0].shape
+    header = [("version", version), ("kind", grid.kind),
+              ("mode", grid.mode), ("shape", f"{ny} {nx}"),
+              ("columns", ",".join(grid.coord_names + grid.value_names)),
+              ("meta", _meta_json(grid.metadata))]
+    rows = [[grid.coord1[j], grid.coord2[i]] + [p[i, j] for p in grid.values]
+            for i in range(ny) for j in range(nx)]
+    return _oracle_table(mapio.FORMAT_NAME, header, rows)
+
+
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                     -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
+                     1e-300, -1e-300]))
+
+
+def _vectors(n):
+    return st.lists(_CELLS, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def _map_grids(draw):
+    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    mode = draw(st.sampled_from((maps.DETECTION_MODE, maps.ANGULAR_MODE)))
+    kind, value_names = draw(st.sampled_from(
+        (("phase", ("phase_deg",)), ("delay", ("dt_s_fs", "dt_i_fs")))))
+    return maps.MapGrid(
+        kind=kind, mode=mode,
+        coord1=draw(_vectors(nx)), coord2=draw(_vectors(ny)),
+        coord_names=(("x_mm", "y_mm") if mode == maps.DETECTION_MODE
+                     else ("theta_deg", "phi_deg")),
+        value_names=value_names,
+        values=tuple(draw(_vectors(nx * ny)).reshape(ny, nx)
+                     for _ in value_names),
+        metadata={"filter_nm": 702.2, "nx": nx})
+
+
+def _same_bits(a, b):
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan], b[~nan])
+            and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=_map_grids())
+def test_map_codec_matches_the_per_cell_oracle(tmp_path_factory, grid):
+    path = tmp_path_factory.mktemp("codec") / "m.csv"
+    mapio.write_map_csv(grid, str(path), "0.0-test")
+    assert path.read_bytes() == _oracle_map(grid, "0.0-test")
+    back = mapio.read_map_csv(str(path))
+    assert back.same_data(grid)
+    assert back.metadata == grid.metadata
+    for a, b in zip((grid.coord1, grid.coord2, *grid.values),
+                    (back.coord1, back.coord2, *back.values)):
+        assert _same_bits(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 9), width=st.integers(1, 3), data=st.data())
+def test_profile_codec_matches_the_per_cell_oracle(tmp_path_factory, n,
+                                                   width, data):
+    arrays = [data.draw(_vectors(n)) for _ in range(width)]
+    columns = tuple(f"c{k}" for k in range(width))
+    meta = {"line": "y=0", "c0": 1.5}
+    path = tmp_path_factory.mktemp("codec") / "p.csv"
+    mapio.write_profile_csv(str(path), "0.0-test", columns, arrays, meta)
+    want = _oracle_table(
+        f"{mapio.FORMAT_NAME} profile",
+        [("version", "0.0-test"), ("columns", ",".join(columns)),
+         ("meta", _meta_json(meta))],
+        [[a[i] for a in arrays] for i in range(n)])
+    assert path.read_bytes() == want
+
+
 # -------------------------------------------------------------- commands
 
 def test_cli_phase_map_runs_and_is_byte_stable(tmp_path, li_cfg, capsys):
@@ -437,6 +558,31 @@ def test_cli_find_tilt_no_solution(li_cfg, capsys):
         err = capsys.readouterr().err
         assert "no solution" in err
         assert "Traceback" not in err
+
+
+def _shipped(name):
+    return os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "configs", name)
+
+
+def test_cli_all_na_map_is_a_named_error(tmp_path, capsys):
+    # the shipped tilted config's axes are the untilted cuts, so no cell
+    # of its detection window has a valid transit
+    out = tmp_path / "tilt.csv"
+    assert cli.main(["phase-map", "--config", _shipped("bbo_tilt52.yaml"),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "no cell" in err and "valid transit" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "tilt.json").exists()
+
+
+def test_cli_phase_match_failure_speaks_degrees(capsys):
+    assert cli.main(["phase-match", "--config",
+                     _shipped("bbo_tilt52.yaml")]) == 3
+    err = capsys.readouterr().err
+    assert "deg" in err and "/mm" in err
+    assert "0.00174532925" not in err
 
 
 def test_cli_fit_from_config_and_from_profile(tmp_path, li_cfg, capsys):
