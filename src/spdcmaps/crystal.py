@@ -14,6 +14,9 @@ A transit time in fs over a length d in mm is d * 1e6 * n_g / c.
 Index functions accept scalars or ndarrays.  A scalar wavelength outside a
 material's validity window raises RangeError; array input gets NaN in the
 offending slots instead so grid sweeps can mark cells invalid and carry on.
+group_index, walkoff_angle, walkoff_ray and the extraordinary refraction
+take one scalar omega, whose two principal indices are evaluated once per
+(material, omega) and memoised: a map needs only a few frequencies.
 """
 
 from dataclasses import dataclass
@@ -153,19 +156,25 @@ def n_e_angle(material, omega, alpha):
     return material.index_e(nm_from_omega(omega), np.cos(alpha))
 
 
-def _fit_slope(fit, lam_nm):
-    """d(index)/d(lambda) in 1/nm, differentiated in closed form. The fit
-    is rational in L = lambda^2 um^2, so the derivative is exact; no
-    finite-difference noise floor enters downstream group delays."""
-    lam = np.asarray(lam_nm, dtype=float)
+@lru_cache
+def _indices(material, omega):
+    """(lambda in nm, n_o, n_e principal) of a material at one scalar
+    frequency, range-checked; memoised."""
+    lam = nm_from_omega(float(omega))
+    return lam, material.index_o(lam), material.index_e_principal(lam)
+
+
+def _fit_slope(fit, lam, n):
+    """d(index)/d(lambda) in 1/nm of a fit whose index at lam is n, in
+    closed form.  The fit is rational in L = lambda^2 um^2, so the slope is
+    exact; no finite-difference noise floor enters the group delays."""
     L = (lam * lam) * 1e-6
-    dn2_dL = np.full_like(lam, fit.d_lam2)
+    dn2_dL = fit.d_lam2
     for b, c, lam2_num in fit.poles:
         den = L - c
         dn2_dL = dn2_dL - (b * c if lam2_num else b) / (den * den)
     # dL/dlam = 2 lam 1e-6, and dn/dlam = (dn2/dlam) / (2 n)
-    slope = dn2_dL * lam * 1e-6 / fit.index(lam)
-    return slope if lam.ndim else float(slope)
+    return dn2_dL * lam * 1e-6 / n
 
 
 def group_index(material, omega, polarization="o", cos_alpha=None):
@@ -175,22 +184,20 @@ def group_index(material, omega, polarization="o", cos_alpha=None):
     fixed geometric angle alpha (cos_alpha given; None means the principal
     plane, alpha = 90 deg).  Derivatives come from the closed-form fit
     slope, so the result is as smooth in the inputs as the index itself.
+    omega is a scalar; its dispersion is read once per (material, omega).
     """
-    lam = nm_from_omega(omega)
-    if polarization == "o":
-        return material.index_o(lam) - lam * _fit_slope(material.ordinary, lam)
-    if polarization != "e":
+    if polarization not in ("o", "e"):
         raise ValueError(f"polarization must be 'o' or 'e', got {polarization!r}")
+    lam, nn_o, nn_ep = _indices(material, omega)
+    if polarization == "o":
+        return nn_o - lam * _fit_slope(material.ordinary, lam, nn_o)
     if cos_alpha is None:
-        return (material.index_e_principal(lam)
-                - lam * _fit_slope(material.extraordinary, lam))
-    nn_o = material.index_o(lam)
-    nn_ep = material.index_e_principal(lam)
+        return nn_ep - lam * _fit_slope(material.extraordinary, lam, nn_ep)
     n = _section_index(nn_o, nn_ep, cos_alpha)
     ca2 = np.asarray(cos_alpha) * np.asarray(cos_alpha)
     slope = (n * n * n) * (
-        ca2 * _fit_slope(material.ordinary, lam) / (nn_o * nn_o * nn_o)
-        + (1.0 - ca2) * _fit_slope(material.extraordinary, lam)
+        ca2 * _fit_slope(material.ordinary, lam, nn_o) / (nn_o * nn_o * nn_o)
+        + (1.0 - ca2) * _fit_slope(material.extraordinary, lam, nn_ep)
         / (nn_ep * nn_ep * nn_ep))
     return n - lam * slope
 
@@ -200,11 +207,10 @@ def walkoff_angle(material, omega, cos_alpha):
 
     rho = arctan[(n(alpha)^2 / 2) (1/n_e^2 - 1/n_o^2) sin 2alpha], positive
     for negative uniaxial crystals at 0 < alpha < 90 deg, meaning the ray
-    leans away from the optic axis.
+    leans away from the optic axis.  omega is a scalar; the dispersion is
+    evaluated once per (material, omega).
     """
-    lam = nm_from_omega(omega)
-    nn_o = material.index_o(lam)
-    nn_e = material.index_e_principal(lam)
+    _, nn_o, nn_e = _indices(material, omega)
     n = _section_index(nn_o, nn_e, cos_alpha)
     ca = np.asarray(cos_alpha, dtype=float)
     sin2a = 2.0 * ca * np.sqrt(np.maximum(1.0 - ca * ca, 0.0))
@@ -216,7 +222,8 @@ def walkoff_ray(k_e, crystal_spec, omega):
     """Unit Poynting (ray) direction for an extraordinary wave: the normal
     of the index surface at the unit wavevector k_e.  It leans away from
     the optic axis by the walkoff angle in the (k_e, axis) plane and equals
-    k_e along the axis and perpendicular to it.  Works on (..., 3) stacks.
+    k_e along the axis and perpendicular to it.  Works on (..., 3) stacks
+    at one scalar omega, whose dispersion is read once per material.
     """
     k = np.asarray(k_e, dtype=float)
     return _surface_normal_ray(k, crystal_spec, omega)[0]
@@ -231,9 +238,7 @@ def _surface_normal_ray(k, crystal_spec, omega):
     axis = crystal_spec.axis_direction()
     ca = np.asarray(
         k[..., 0] * axis[0] + k[..., 1] * axis[1] + k[..., 2] * axis[2])
-    lam = nm_from_omega(omega)
-    n_o = crystal_spec.material.index_o(lam)
-    n_ep = crystal_spec.material.index_e_principal(lam)
+    _, n_o, n_ep = _indices(crystal_spec.material, omega)
     inv_o2 = 1.0 / (n_o * n_o)
     inv_e2 = 1.0 / (n_ep * n_ep)
     A = inv_o2 - inv_e2

@@ -84,8 +84,10 @@ def read_map_csv(path):
 
     The reconstruction is exact: every float (coordinates included)
     round-trips bitwise through the 17-digit formatting.  A file that is
-    not a map, lacks a header field, has missing or ragged rows, or holds
-    a non-numeric cell raises DataFormatError naming the path.
+    not a map, lacks a header field, names fewer than two coordinate and
+    one value column, has a meta line that is not a JSON object, has
+    missing or ragged rows, or holds a non-numeric cell raises
+    DataFormatError naming the path.
     """
     header = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -105,9 +107,15 @@ def read_map_csv(path):
         cols = tuple(header["columns"].split(","))
         kind = header["kind"]
         mode = header["mode"]
+        meta = json.loads(header.get("meta", "{}"))
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{path}: missing or bad header ({exc})") \
             from None
+    if len(cols) < 3:
+        raise DataFormatError(f"{path}: columns {header['columns']!r} name "
+                              f"fewer than two coordinates and a value")
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{path}: meta line is not a JSON object")
     bad_shape = DataFormatError(
         f"{path}: expected {ny * nx} rows of {len(cols)} columns")
     # checked first: loadtxt warns on an empty body instead of raising
@@ -125,7 +133,7 @@ def read_map_csv(path):
     return MapGrid(
         kind=kind, mode=mode, coord1=planes[0, 0], coord2=planes[1, :, 0],
         coord_names=cols[:2], value_names=cols[2:], values=tuple(planes[2:]),
-        metadata=json.loads(header.get("meta", "{}")))
+        metadata=meta)
 
 
 def write_profile_csv(path, version, columns, arrays, meta):

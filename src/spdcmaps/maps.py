@@ -21,6 +21,7 @@ both delay columns bitwise.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class SourceConfig:
     onto the wavevector; "wavevector" uses the wavevector's axis cosine
     directly.  The two differ by well under a percent in transit time but
     the difference matters when hunting the self-compensating tilt.
+    pump_states holds both crystals' phasematch.pump_internal_state, solved
+    once on first use (replace() builds a new instance, solved afresh).
     """
 
     crystal1: crystal.CrystalSpec
@@ -77,6 +80,11 @@ class SourceConfig:
             return self.base_axes
         return ((self.crystal1.axis_theta, self.crystal1.axis_phi),
                 (self.crystal2.axis_theta, self.crystal2.axis_phi))
+
+    @cached_property
+    def pump_states(self):
+        return tuple(phasematch.pump_internal_state(self.pump, c)
+                     for c in (self.crystal1, self.crystal2))
 
 
 def source_snapshot(source):
@@ -192,13 +200,12 @@ def _interval_values(source, w, sx, sy):
     k = 1e6 / C_NM_FS
     s2 = sx * sx + sy * sy
     pe, o = [], []
-    for c in (c1, c2):
+    for c, st in zip((c1, c2), source.pump_states):
         # pump extraordinary up to the birth depth, then the photon
         # ordinary from there to the exit face of its birth crystal
-        st = phasematch.pump_internal_state(source.pump, c)
         ng_pe = crystal.group_index(c.material, w_p, "e",
                                     cos_alpha=math.cos(st.alpha))
-        n_o = c.material.index_o(crystal.nm_from_omega(w))
+        n_o = crystal._indices(c.material, w)[1]
         kz_o = np.sqrt(n_o * n_o - s2) / n_o
         ng_o = crystal.group_index(c.material, w, "o")
         pe.append(k * (mu * c.length_mm * ng_pe))

@@ -150,8 +150,8 @@ def _mismatch(signal, pump, crystal_spec, state):
     qix, qiy = qpx - qsx, qpy - qsy
 
     mat = crystal_spec.material
-    n_s = mat.index_o(signal.wavelength_nm)
-    n_i = mat.index_o(idler.wavelength_nm)
+    n_s = crystal._indices(mat, signal.omega)[1]
+    n_i = crystal._indices(mat, idler.omega)[1]
     kpz2 = (state.index * w_p / C_NM_FS) ** 2 - (qpx * qpx + qpy * qpy)
     ksz2 = (n_s * signal.omega / C_NM_FS) ** 2 - (qsx * qsx + qsy * qsy)
     kiz2 = (n_i * idler.omega / C_NM_FS) ** 2 - (qix * qix + qiy * qiy)

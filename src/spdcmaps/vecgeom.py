@@ -12,9 +12,11 @@ internal reflection); batched inputs mark the offending rows NaN and keep
 going, which is what the grid sweeps want.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .crystal import nm_from_omega as _nm_from_omega
+from .crystal import _indices
 from .errors import RefractionError
 
 __all__ = [
@@ -26,21 +28,11 @@ __all__ = [
 ]
 
 
-class SphericalAngles(tuple):
+class SphericalAngles(NamedTuple):
     """(theta, phi) pair: polar angle from +z and azimuth in the x-y plane."""
 
-    __slots__ = ()
-
-    def __new__(cls, theta, phi):
-        return tuple.__new__(cls, (theta, phi))
-
-    @property
-    def theta(self):
-        return self[0]
-
-    @property
-    def phi(self):
-        return self[1]
+    theta: float
+    phi: float
 
 
 def dot3(a, b):
@@ -145,21 +137,19 @@ def refract_ordinary(k_in, normal, n_in, n_out):
     input returns NaN rows instead.
     """
     k_in = np.asarray(k_in, dtype=float)
-    kn, t = _tangential_split(k_in, normal)
+    scalar = k_in.ndim == 1
+    k = k_in[np.newaxis, :] if scalar else k_in
+    kn, t = _tangential_split(k, normal)
     s = (n_in / n_out) * t
     s2 = dot3(s, s)
-    if k_in.ndim == 1:
-        if s2 >= 1.0:
-            raise RefractionError(
-                f"total internal reflection: n_in/n_out sin = {np.sqrt(s2):.6f}")
-        cz = np.sqrt(1.0 - s2)
-        return s + np.sign(kn) * cz * np.asarray(normal, dtype=float)
     bad = s2 >= 1.0
+    if scalar and bad[0]:
+        raise RefractionError(
+            f"total internal reflection: n_in/n_out sin = {np.sqrt(s2[0]):.6f}")
     cz = np.sqrt(np.where(bad, 0.0, 1.0 - s2))
     out = s + (np.sign(kn) * cz)[..., np.newaxis] * np.asarray(normal, dtype=float)
-    if np.any(bad):
-        out = np.where(bad[..., np.newaxis], np.nan, out)
-    return out
+    out = np.where(bad[..., np.newaxis], np.nan, out)
+    return out[0] if scalar else out
 
 
 def refract_into_extraordinary(k_in, normal, n_in, omega, crystal_spec):
@@ -174,16 +164,14 @@ def refract_into_extraordinary(k_in, normal, n_in, omega, crystal_spec):
 
     Returns (K_internal, n).  No positive root means total internal
     reflection: scalar input raises RefractionError, batched input gets
-    NaN rows.
+    NaN rows.  omega is a scalar; the dispersion is evaluated once per
+    (material, omega).
     """
     k_in = np.asarray(k_in, dtype=float)
     scalar = k_in.ndim == 1
     k = k_in[np.newaxis, :] if scalar else k_in
-    mat = crystal_spec.material
     axis = crystal_spec.axis_direction()
-    lam_nm = _nm_from_omega(omega)
-    n_o = mat.index_o(lam_nm)
-    n_ep = mat.index_e_principal(lam_nm)
+    _, n_o, n_ep = _indices(crystal_spec.material, omega)
 
     kn, t = _tangential_split(k, normal)
     tv = n_in * t

@@ -277,21 +277,58 @@ def _spoil_last_cell(lines):
     return lines[:12] + [lines[12].rsplit(",", 1)[0] + ",1.5x"] + lines[13:]
 
 
-@pytest.mark.parametrize("mangle, message", [
+def _first_columns(n):
+    # header lines 0-6 end with columns (5) and meta (6)
+    def mangle(lines):
+        def first(line):
+            return ",".join(line.split(",")[:n])
+        return lines[:5] + [first(lines[5])] + lines[6:7] + [
+            first(row) for row in lines[7:]]
+    return mangle
+
+
+def _with_meta(text):
+    return lambda lines: lines[:6] + [f"# meta: {text}"] + lines[7:]
+
+
+_MANGLED = [
     (lambda lines: lines[:7], "expected 35 rows of 4 columns"),
     (_drop_last_cell, "expected 35 rows of 4 columns"),
     (_spoil_last_cell, "bad numeric cell"),
-], ids=["header-only", "ragged-row", "non-numeric-cell"])
-def test_read_map_csv_names_layout_errors(tmp_path, mangle, message):
+    (_first_columns(2), "fewer than two coordinates and a value"),
+    (_with_meta('{"source": '), "bad header"),
+    (_with_meta("[1, 2]"), "meta line is not a JSON object"),
+]
+_MANGLED_IDS = ["header-only", "ragged-row", "non-numeric-cell",
+                "coordinates-only", "meta-bad-json", "meta-not-object"]
+
+
+def _mangled_map(tmp_path, mangle):
     p = tmp_path / "m.csv"
     mapio.write_map_csv(_small_map(), str(p), "0.0-test")
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(mangle(p.read_text().splitlines())) + "\n")
+    return bad
+
+
+@pytest.mark.parametrize("mangle, message", _MANGLED, ids=_MANGLED_IDS)
+def test_read_map_csv_names_layout_errors(tmp_path, mangle, message):
+    bad = _mangled_map(tmp_path, mangle)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataFormatError, match=message) as exc:
             mapio.read_map_csv(str(bad))
     assert str(exc.value).startswith(f"{bad}: ")
+
+
+def test_cli_fit_on_a_malformed_header_exits_io(tmp_path, capsys):
+    for mangle in (_first_columns(2), _first_columns(1),
+                   _with_meta("{oops"), _with_meta('"text"')):
+        bad = _mangled_map(tmp_path, mangle)
+        assert cli.main(["fit", "--profile", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {bad}: ")
+        assert "Traceback" not in err
 
 
 # the writer as one loop over cells: the reference the codec must match

@@ -263,6 +263,44 @@ def test_pointwise_calls_reproduce_every_sweep_cell():
                 assert maps.time_delay(source, c, "i") == dm.values[1][i, j]
 
 
+def test_repeated_pointwise_calls_evaluate_no_sellmeier_fit(monkeypatch):
+    # the principal indices are memoised per (material, omega), so once a
+    # source has been used its pointwise calls reuse them
+    c = coord_at(25.0, -10.0, W_BBO)
+    calls = [(maps.relative_phase, ()), (maps.time_delay, ("s",)),
+             (maps.time_delay, ("i",)), (maps.time_intervals, ("s",)),
+             (maps.time_intervals, ("i",))]
+    first = [fn(BBO, c, *args) for fn, args in calls]
+    fits = []
+    index = crystal.SellmeierFit.index
+
+    def counted(self, lam_nm):
+        fits.append(lam_nm)
+        return index(self, lam_nm)
+    monkeypatch.setattr(crystal.SellmeierFit, "index", counted)
+    for _ in range(3):
+        assert [fn(BBO, c, *args) for fn, args in calls] == first
+    assert fits == []
+
+
+def test_time_intervals_solves_the_pump_once_per_source(monkeypatch):
+    solves = []
+    solve = phasematch.pump_internal_state
+
+    def counted(pump, spec):
+        solves.append(spec)
+        return solve(pump, spec)
+    monkeypatch.setattr(phasematch, "pump_internal_state", counted)
+    src = make_source("BBO", 29.3, 405.0, 0.6)
+    for x in (0.0, 20.0, -35.0):
+        for photon in "si":
+            maps.time_intervals(src, coord_at(x, 5.0, W_BBO), photon)
+    assert solves == [src.crystal1, src.crystal2]
+    # replace() builds a new source, with its own pump states
+    maps.time_intervals(replace(src, mu=0.25), coord_at(0.0, 0.0, W_BBO))
+    assert len(solves) == 4
+
+
 def test_sweep_worker_count_invariance():
     gs = maps.GridSpec(31, 29, -60.0, 60.0, -60.0, 60.0)
     ref = maps.sweep_phase_map(LI, gs, workers=1)

@@ -53,6 +53,13 @@ def test_angles_from_direction_pole_convention():
     assert ph == 0.0 and abs(th - math.pi) < 1e-15
 
 
+def test_spherical_angles_is_a_named_pair():
+    a = vecgeom.SphericalAngles(0.25, -1.5)
+    assert isinstance(a, tuple) and a == (0.25, -1.5)
+    th, ph = a
+    assert (a.theta, a.phi) == (th, ph) == (0.25, -1.5)
+
+
 def test_angles_from_direction_rejects_non_unit():
     with pytest.raises(ValueError):
         vecgeom.angles_from_direction(np.array([0.0, 0.0, 2.0]))
@@ -145,6 +152,16 @@ def test_refract_ordinary_batch_marks_tir_rows_nan():
     k = vecgeom.refract_ordinary(k_in, Z, 1.66, 1.0)
     assert np.all(np.isfinite(k[0]))
     assert np.all(np.isnan(k[1]))
+
+
+def test_refract_ordinary_scalar_is_a_one_row_batch():
+    k_in = vecgeom.direction_from_angles(
+        np.array([math.radians(10.0), math.radians(45.0)]), 0.3)
+    batch = vecgeom.refract_ordinary(k_in, Z, 1.66, 1.0)
+    assert np.array_equal(vecgeom.refract_ordinary(k_in[0], Z, 1.66, 1.0),
+                          batch[0])
+    with pytest.raises(RefractionError, match="n_in/n_out sin = 1.17"):
+        vecgeom.refract_ordinary(k_in[1], Z, 1.66, 1.0)
 
 
 # ----------------------------------------------- extraordinary refraction
