@@ -259,12 +259,13 @@ def build_run_config(flat):
         ok = head == "phi" and sep
         if ok:
             try:
-                float(tail)
+                ok = math.isfinite(float(tail))
             except ValueError:
                 ok = False
         if not ok:
             raise ConfigError(
-                f"line must be 'y=0', 'x=0' or 'phi=<degrees>', got {line!r}",
+                f"line must be 'y=0', 'x=0' or 'phi=<degrees>' with finite "
+                f"degrees, got {line!r}",
                 key="fit.line")
 
     return RunConfig(

@@ -17,10 +17,15 @@ offending slots instead so grid sweeps can mark cells invalid and carry on.
 group_index, walkoff_angle, walkoff_ray and the extraordinary refraction
 take one scalar omega, whose two principal indices are evaluated once per
 (material, omega) and memoised: a map needs only a few frequencies.
+
+The index-surface normal is written once, on components, in
+_ray_components: the map sweeps' transit calls it directly, walkoff_ray
+stacks its output.  A CrystalSpec computes its optic axis once and a
+Material its hash once, since every transit reads both.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
@@ -62,6 +67,17 @@ class Material:
     ordinary: SellmeierFit
     extraordinary: SellmeierFit
     valid_nm: tuple  # (low, high) inclusive
+
+    @cached_property
+    def _hash(self):
+        return hash((self.name, self.ordinary, self.extraordinary,
+                     self.valid_nm))
+
+    def __hash__(self):
+        # the generated dataclass hash, computed once: _indices keys its
+        # memo on the material, and rehashing the nested fits on every
+        # lookup would cost more than the lookup itself
+        return self._hash
 
     def _checked(self, fit, lam_nm):
         lam = np.asarray(lam_nm, dtype=float)
@@ -230,22 +246,32 @@ def walkoff_ray(k_e, crystal_spec, omega):
 
 
 def _surface_normal_ray(k, crystal_spec, omega):
-    """(ray, cos rho, ray . a, k . a) for unit wavevectors k, with a the
-    optic axis and rho the walkoff angle.  The ray is along the index-surface
-    normal g = k / n_e^2 + (1/n_o^2 - 1/n_e^2)(k . a) a.  |g|, cos rho and
-    ray . a are closed forms in k . a, not dot products of the ray, so
-    sub-ulp residue in its components stays out of the group terms."""
-    axis = crystal_spec.axis_direction()
-    ca = np.asarray(
-        k[..., 0] * axis[0] + k[..., 1] * axis[1] + k[..., 2] * axis[2])
+    """(ray, cos rho, ray . a, k . a) for unit wavevectors k stacked on the
+    last axis; _ray_components on their components."""
+    rx, ry, rz, cos_rho, ca_ray, ca = _ray_components(
+        k[..., 0], k[..., 1], k[..., 2], crystal_spec, omega)
+    return np.stack((rx, ry, rz), axis=-1), cos_rho, ca_ray, ca
+
+
+def _ray_components(kx, ky, kz, crystal_spec, omega):
+    """(ray x, y, z, cos rho, ray . a, k . a) for unit wavevector components
+    (kx, ky, kz), with a the optic axis and rho the walkoff angle.  The ray
+    is along the index-surface normal g = k / n_e^2 + (1/n_o^2 - 1/n_e^2)
+    (k . a) a.  |g|, cos rho and ray . a are closed forms in k . a, not dot
+    products of the ray, so sub-ulp residue in its components stays out of
+    the group terms."""
+    ax, ay, az = crystal_spec._axis
+    ca = kx * ax + ky * ay + kz * az
     _, n_o, n_ep = _indices(crystal_spec.material, omega)
     inv_o2 = 1.0 / (n_o * n_o)
     inv_e2 = 1.0 / (n_ep * n_ep)
     A = inv_o2 - inv_e2
     ca2 = ca * ca
     g = np.sqrt((1.0 - ca2) * (inv_e2 * inv_e2) + ca2 * (inv_o2 * inv_o2))
-    ray = (inv_e2 * k + (A * ca)[..., np.newaxis] * axis) / g[..., np.newaxis]
-    return ray, (inv_e2 + A * ca2) / g, ca * inv_o2 / g, ca
+    Aca = A * ca
+    return ((inv_e2 * kx + Aca * ax) / g, (inv_e2 * ky + Aca * ay) / g,
+            (inv_e2 * kz + Aca * az) / g,
+            (inv_e2 + A * ca2) / g, ca * inv_o2 / g, ca)
 
 
 _AXIS_EPS = 1e-15
@@ -265,15 +291,19 @@ class CrystalSpec:
         if self.length_mm <= 0:
             raise ConfigError("crystal length must be positive", key="length_mm")
 
-    def axis_direction(self):
+    @cached_property
+    def _axis(self):
+        """Optic-axis unit vector as a tuple of floats, computed once."""
         st = np.sin(self.axis_theta)
-        v = np.array([st * np.cos(self.axis_phi),
-                      st * np.sin(self.axis_phi),
-                      np.cos(self.axis_theta)])
+        v = (st * np.cos(self.axis_phi), st * np.sin(self.axis_phi),
+             np.cos(self.axis_theta))
         # sub-ulp residue of cardinal-angle trig (cos(pi/2) and friends);
         # zeroing it keeps crossed-plate mirror planes exact
-        v[np.abs(v) < _AXIS_EPS] = 0.0
-        return v
+        return tuple(0.0 if abs(c) < _AXIS_EPS else float(c) for c in v)
+
+    def axis_direction(self):
+        """Optic-axis unit vector, a fresh array on every call."""
+        return np.array(self._axis)
 
     def with_axis(self, axis_theta, axis_phi):
         return CrystalSpec(self.material, self.length_mm, axis_theta, axis_phi)

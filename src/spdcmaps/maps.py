@@ -16,7 +16,10 @@ both, the same way.  Every kernel is elementwise and loop-free (explicit
 component arithmetic, closed-form refraction and walkoff ray), so a
 cell's value does not depend on the block it was computed in:
 relative_phase and time_delay for either photon reproduce the phase and
-both delay columns bitwise.
+both delay columns bitwise.  The extraordinary transit works on the
+air-side transverse components (sx, sy) and stacks no 3-vectors: it
+calls the one copy of the refraction quadratic (vecgeom._forward_root)
+and of the index-surface normal (crystal._ray_components).
 """
 
 import math
@@ -28,7 +31,7 @@ import numpy as np
 from . import crystal, phasematch, vecgeom
 from .crystal import C_NM_FS
 from .errors import ConfigError, FitError, RefractionError
-from .phasematch import EmissionCoord, Z_NORMAL
+from .phasematch import EmissionCoord
 
 DETECTION_MODE = "detection_plane_xy"
 ANGULAR_MODE = "angular_theta_phi"
@@ -113,24 +116,28 @@ def source_snapshot(source):
 
 class _Transit:
     """Extraordinary transit of one photon species through crystal 2,
-    for stacked air-side transverse direction components."""
+    for arrays of air-side transverse direction components (sx, sy).
+
+    Entry from air through the z face keeps the tangential wavevector
+    (sx, sy, 0), so the refraction and the ray are written on components:
+    k.a = sx a_x + sy a_y + a_z k_z, and s^2 >= 1 (no wave in air) is NaN.
+    """
 
     __slots__ = ("n", "ca_k", "ca_ray", "cos_rho", "rx", "ry", "rz", "valid")
 
     def __init__(self, spec, omega, sx, sy):
         sx = np.asarray(sx, dtype=float)
         sy = np.asarray(sy, dtype=float)
-        s2 = sx * sx + sy * sy
-        sz = np.sqrt(np.where(s2 < 1.0, 1.0 - s2, np.nan))
-        k_air = np.stack(np.broadcast_arrays(sx, sy, sz), axis=-1)
-        K, n = vecgeom.refract_into_extraordinary(
-            k_air, Z_NORMAL, 1.0, omega, spec)
-        ray, self.cos_rho, self.ca_ray, self.ca_k = \
-            crystal._surface_normal_ray(K, spec, omega)
+        ax, ay, az = spec._axis
+        _, n_o, n_ep = crystal._indices(spec.material, omega)
+        t2 = sx * sx + sy * sy
+        t2 = np.where(t2 < 1.0, t2, np.nan)
+        kz = vecgeom._forward_root(sx * ax + sy * ay, az, t2, n_o, n_ep)
+        n = np.sqrt(t2 + kz * kz)
         self.n = n
-        self.rx = ray[..., 0]
-        self.ry = ray[..., 1]
-        self.rz = ray[..., 2]
+        (self.rx, self.ry, self.rz, self.cos_rho, self.ca_ray,
+         self.ca_k) = crystal._ray_components(sx / n, sy / n, kz / n,
+                                              spec, omega)
         self.valid = np.isfinite(n) & (self.rz > 0.0)
 
 
@@ -443,8 +450,8 @@ class QuadraticFit:
 def profile_line(grid, line):
     """Extract (signed polar angle rad, values) along a map line.
 
-    line is "y=0" or "x=0" for detection-plane maps, "phi=<degrees>" for
-    angular maps; the nearest grid row/column is used.
+    line is "y=0" or "x=0" for detection-plane maps, "phi=<degrees>" (a
+    finite number) for angular maps; the nearest grid row/column is used.
     """
     if grid.mode == DETECTION_MODE:
         L = grid.metadata.get("source", {}).get("detection_distance_mm")
@@ -466,7 +473,9 @@ def profile_line(grid, line):
         try:
             target = float(line[4:])
         except ValueError:
-            raise FitError(f"bad azimuth in line spec {line!r}") from None
+            target = math.nan
+        if not math.isfinite(target):
+            raise FitError(f"bad azimuth in line spec {line!r}")
         i = int(np.argmin(np.abs(grid.coord2 - target)))
         vals = grid.values[0][i, :]
         thetas = np.deg2rad(grid.coord1)

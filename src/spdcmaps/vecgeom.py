@@ -10,6 +10,11 @@ on what else shares the batch or on how a grid is cut into batches.
 Angles are radians throughout.  Scalar inputs raise on failure (total
 internal reflection); batched inputs mark the offending rows NaN and keep
 going, which is what the grid sweeps want.
+
+The extraordinary refraction's quadratic is written once, in
+_forward_root: refract_into_extraordinary feeds it from stacked vectors
+at any interface, the map sweeps' transit (maps._Transit) from the
+air-side transverse components at the z face, without stacking them.
 """
 
 from typing import NamedTuple
@@ -152,6 +157,27 @@ def refract_ordinary(k_in, normal, n_in, n_out):
     return out[0] if scalar else out
 
 
+def _forward_root(p, q, t2, n_o, n_ep):
+    """Normal component k_n of the forward extraordinary wavevector whose
+    tangential part t (|t|^2 = t2) is fixed and whose axis projection is
+    k.a = p + q k_n: the larger root of the index-ellipsoid quadratic
+    qa k_n^2 + 2 hb k_n + c = 0, NaN where it has no positive root.  The
+    one copy of the quadratic: refract_into_extraordinary and the sweeps'
+    air-to-crystal transit, which has t = (sx, sy, 0), both call it."""
+    inv_e2 = 1.0 / (n_ep * n_ep)
+    A = 1.0 / (n_o * n_o) - inv_e2
+    qa = A * q * q + inv_e2
+    hb = A * p * q
+    c = A * p * p + t2 * inv_e2 - 1.0
+    disc = hb * hb - qa * c
+    root = np.sqrt(np.maximum(disc, 0.0))
+    # larger root (root - hb) / qa; where hb > 0 that difference cancels,
+    # so use the equal product form -c / (hb + root) there
+    far = hb > 0.0
+    kz = np.where(far, -c, root - hb) / np.where(far, hb + root, qa)
+    return np.where((disc < 0.0) | ~(kz > 0.0), np.nan, kz)
+
+
 def refract_into_extraordinary(k_in, normal, n_in, omega, crystal_spec):
     """Refract into the extraordinary branch of a uniaxial crystal.
 
@@ -178,25 +204,10 @@ def refract_into_extraordinary(k_in, normal, n_in, omega, crystal_spec):
     t2 = dot3(tv, tv)
     sgn = np.sign(kn)
     nrm = np.asarray(normal, dtype=float)
-
-    # qa k_n^2 + 2 hb k_n + c = 0, with k.a = p + q k_n
-    inv_e2 = 1.0 / (n_ep * n_ep)
-    A = 1.0 / (n_o * n_o) - inv_e2
-    p = dot3(tv, axis)
-    q = sgn * dot3(nrm, axis)
-    qa = A * q * q + inv_e2
-    hb = A * p * q
-    c = A * p * p + t2 * inv_e2 - 1.0
-    disc = hb * hb - qa * c
-    root = np.sqrt(np.maximum(disc, 0.0))
-    # larger root (root - hb) / qa; where hb > 0 that difference cancels,
-    # so use the equal product form -c / (hb + root) there
-    far = hb > 0.0
-    kz = np.where(far, -c, root - hb) / np.where(far, hb + root, qa)
-    bad = (disc < 0.0) | ~(kz > 0.0)
-    if scalar and bad[0]:
+    # k.a = p + q k_n
+    kz = _forward_root(dot3(tv, axis), sgn * dot3(nrm, axis), t2, n_o, n_ep)
+    if scalar and np.isnan(kz[0]):
         raise RefractionError("total internal reflection at extraordinary entry")
-    kz = np.where(bad, np.nan, kz)
     n = np.sqrt(t2 + kz * kz)
     K = (tv + (sgn * kz)[..., np.newaxis] * nrm) / n[..., np.newaxis]
     if scalar:

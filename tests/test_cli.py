@@ -155,6 +155,9 @@ def test_structural_limits(li_cfg):
                      ("source.mu", 1.2),
                      ("tilt.n_samples", 1),
                      ("fit.line", "diagonal"),
+                     ("fit.line", "phi=nan"),
+                     ("fit.line", "phi=inf"),
+                     ("fit.line", "phi=-inf"),
                      ("grid.mode", "polar")):
         broken = dict(flat)
         broken[key] = bad
@@ -648,6 +651,29 @@ def test_cli_fit_from_config_and_from_profile(tmp_path, li_cfg, capsys):
     assert meta2["c2"] == pytest.approx(meta["c2"], rel=1e-12)
     assert meta2["rms_residual"] == pytest.approx(meta["rms_residual"],
                                                   rel=1e-9)
+
+
+def test_cli_fit_rejects_a_non_finite_azimuth(tmp_path, li_cfg, capsys):
+    pm = tmp_path / "ang.csv"
+    angular = ["--set", "grid.mode=angular_theta_phi", "--set", "grid.x_min=-2",
+               "--set", "grid.x_max=2", "--set", "grid.y_min=0",
+               "--set", "grid.y_max=90"]
+    assert cli.main(["phase-map", "--config", li_cfg, "--grid", "9x3",
+                     "--out", str(pm), *angular]) == 0
+    capsys.readouterr()
+    for phi in ("nan", "inf", "-inf"):
+        out = tmp_path / f"fit_{phi}.csv"
+        assert cli.main(["fit", "--profile", str(pm), "--line", f"phi={phi}",
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("no solution: bad azimuth")
+        assert "Traceback" not in err and not out.exists()
+        assert cli.main(["fit", "--config", li_cfg, "--grid", "9x3",
+                         "--out", str(out), *angular,
+                         "--set", f"fit.line=phi={phi}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "fit.line" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 def test_cli_fit_needs_some_input(capsys):

@@ -7,6 +7,7 @@ the code paths themselves.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,6 +316,45 @@ def test_crystal_spec_axis_direction():
     v = spec.axis_direction()
     assert v[1] == pytest.approx(math.sin(math.radians(51.95)), abs=1e-15)
     assert v[2] == pytest.approx(math.cos(math.radians(51.95)), abs=1e-15)
+
+
+def test_crystal_spec_axis_is_held_per_instance():
+    def fresh(theta, phi):
+        st = np.sin(theta)
+        v = np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+        v[np.abs(v) < 1e-15] = 0.0
+        return v
+
+    spec = crystal.CrystalSpec(BBO, 0.6, math.radians(29.3), math.radians(90.0))
+    want = fresh(spec.axis_theta, spec.axis_phi)
+    assert want[0] == 0.0
+    got = spec.axis_direction()
+    assert np.array_equal(got, want)
+    got[:] = 7.0  # the caller's copy, not the held axis
+    assert np.array_equal(spec.axis_direction(), want)
+    for copy in (spec.with_axis(0.4, 0.1), replace(spec, axis_phi=0.0)):
+        assert np.array_equal(copy.axis_direction(),
+                              fresh(copy.axis_theta, copy.axis_phi))
+    assert np.array_equal(spec.axis_direction(), want)
+
+
+def test_equal_materials_share_one_index_memo_entry():
+    raw = {"materials": {"flat": {
+        "n_o": {"a": 2.56},
+        "n_e": {"a": 2.25, "poles": [{"b": 0.01, "c": 0.02}]},
+        "valid_nm": [200, 2000]}}}
+    m1 = crystal._load_registry_dict(raw)["flat"]
+    m2 = crystal._load_registry_dict(raw)["flat"]
+    assert m1 == m2 and m1 is not m2
+    # the generated dataclass hash, so equal materials hash equal
+    assert hash(m1) == hash(m2) == hash(
+        (m1.name, m1.ordinary, m1.extraordinary, m1.valid_nm))
+    w = crystal.omega_from_nm(777.7)
+    before = crystal._indices.cache_info()
+    first = crystal._indices(m1, w)
+    assert crystal._indices(m2, w) is first
+    after = crystal._indices.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def test_crystal_spec_with_axis_copies():

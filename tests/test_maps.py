@@ -263,6 +263,44 @@ def test_pointwise_calls_reproduce_every_sweep_cell():
                 assert maps.time_delay(source, c, "i") == dm.values[1][i, j]
 
 
+def test_transit_components_match_the_vector_path():
+    # reference: the stacked air-side wavevector refracted through the
+    # general-normal vector path, then the stacked surface-normal ray
+    rng = np.random.default_rng(11)
+    r = np.sqrt(rng.uniform(0.0, 0.95, 60))
+    ph = rng.uniform(-math.pi, math.pi, 60)
+    # extra rows: normal incidence, s^2 = 1 and s^2 > 1 (no wave in air),
+    # a grazing direction, and NaN components
+    sx = np.concatenate([r * np.cos(ph), [0.0, 1.0, 0.8, -0.3, np.nan]])
+    sy = np.concatenate([r * np.sin(ph), [0.0, 0.0, 0.7, -0.95, np.nan]])
+    sx, sy = sx.reshape(5, 13), sy.reshape(5, 13)
+    s2 = sx * sx + sy * sy
+    k_air = np.stack(np.broadcast_arrays(
+        sx, sy, np.sqrt(np.where(s2 < 1.0, 1.0 - s2, np.nan))), axis=-1)
+    Z = np.array([0.0, 0.0, 1.0])
+    for mat, cut, nms in (("BBO", 29.3, (405.0, 702.2, 810.0)),
+                          ("LiIO3", 51.95, (351.1, 702.2, 810.0))):
+        for phi_a in (0.0, 37.0, 90.0):
+            spec = crystal.CrystalSpec(crystal.get_material(mat), 1.0,
+                                       math.radians(cut), math.radians(phi_a))
+            for nm in nms:
+                w = crystal.omega_from_nm(nm)
+                K, n = vecgeom.refract_into_extraordinary(k_air, Z, 1.0, w, spec)
+                ray, cos_rho, ca_ray, ca_k = crystal._surface_normal_ray(
+                    K, spec, w)
+                ref = {"n": n, "ca_k": ca_k, "ca_ray": ca_ray,
+                       "cos_rho": cos_rho, "rx": ray[..., 0],
+                       "ry": ray[..., 1], "rz": ray[..., 2],
+                       "valid": np.isfinite(n) & (ray[..., 2] > 0.0)}
+                t = maps._Transit(spec, w, sx, sy)
+                for name, want in ref.items():
+                    got = getattr(t, name)
+                    assert got.shape == (5, 13), name
+                    assert np.array_equal(got, want, equal_nan=True), \
+                        (mat, phi_a, nm, name)
+                assert np.count_nonzero(t.valid) == 62
+
+
 def test_repeated_pointwise_calls_evaluate_no_sellmeier_fit(monkeypatch):
     # the principal indices are memoised per (material, omega), so once a
     # source has been used its pointwise calls reuse them
@@ -475,8 +513,9 @@ def test_profile_line_rejects_bad_spec():
         LI, maps.GridSpec(9, 3, -2, 2, 0, 90, mode=maps.ANGULAR_MODE))
     with pytest.raises(FitError):
         maps.profile_line(ang, "y=0")
-    with pytest.raises(FitError):
-        maps.profile_line(ang, "phi=north")
+    for bad in ("phi=north", "phi=nan", "phi=inf", "phi=-inf"):
+        with pytest.raises(FitError, match="bad azimuth"):
+            maps.profile_line(ang, bad)
 
 
 def test_fit_requires_enough_valid_samples():

@@ -255,6 +255,34 @@ def test_extraordinary_tangential_continuity_batch():
     assert resid < 1e-12
 
 
+def test_forward_root_is_the_written_out_quadratic():
+    # the quadratic once more, one scalar element at a time, as the
+    # reference the shared array helper must match bitwise
+    _, n_o, n_ep = crystal._indices(BBO, W_405)
+    rng = np.random.default_rng(5)
+    p = rng.uniform(-1.5, 1.5, 400)
+    q = rng.uniform(-1.0, 1.0, 400)
+    t2 = rng.uniform(0.0, 4.0, 400)
+    inv_e2 = 1.0 / (n_ep * n_ep)
+    A = 1.0 / (n_o * n_o) - inv_e2
+    want = []
+    for pi, qi, ti in zip(p.tolist(), q.tolist(), t2.tolist()):
+        qa = A * qi * qi + inv_e2
+        hb = A * pi * qi
+        c = A * pi * pi + ti * inv_e2 - 1.0
+        disc = hb * hb - qa * c
+        kz = math.nan
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            kz = -c / (hb + root) if hb > 0.0 else (root - hb) / qa
+        want.append(kz if kz > 0.0 else math.nan)
+    got = vecgeom._forward_root(p, q, t2, n_o, n_ep)
+    assert np.array_equal(got, want, equal_nan=True)
+    hb = A * p * q
+    for branch in (hb > 0.0, hb <= 0.0):
+        assert np.isfinite(got[branch]).any() and np.isnan(got[branch]).any()
+
+
 def test_extraordinary_dense_incidence_raises_tir():
     k_in = vecgeom.direction_from_angles(math.radians(75.0), 0.0)
     with pytest.raises(RefractionError):
