@@ -47,6 +47,8 @@ def _load_run(args):
                 key="--grid") from None
     if getattr(args, "filter_nm", None) is not None:
         flat["filter.center_nm"] = args.filter_nm
+    if getattr(args, "line", None) is not None:
+        flat["fit.line"] = args.line
     return config.build_run_config(flat)
 
 
@@ -71,20 +73,11 @@ def _write_grid(grid, out, rc):
     return EXIT_OK
 
 
-def cmd_phase_map(args):
+def cmd_map(args):
     rc = _load_run(args)
-    grid = maps.sweep_phase_map(rc.source, rc.grid,
-                                filter_center_nm=rc.filter_nm,
-                                workers=args.workers)
-    return _write_grid(grid, args.out or "phase_map.csv", rc)
-
-
-def cmd_delay_map(args):
-    rc = _load_run(args)
-    grid = maps.sweep_delay_map(rc.source, rc.grid,
-                                filter_center_nm=rc.filter_nm,
-                                workers=args.workers)
-    return _write_grid(grid, args.out or "delay_map.csv", rc)
+    grid = args.sweep(rc.source, rc.grid, filter_center_nm=rc.filter_nm,
+                      workers=args.workers)
+    return _write_grid(grid, args.out or f"{grid.kind}_map.csv", rc)
 
 
 def cmd_phase_match(args):
@@ -135,9 +128,12 @@ def cmd_find_tilt(args):
 
 def cmd_fit(args):
     if args.profile:
+        for flag in ("--config", "--set", "--grid", "--filter-nm"):
+            if getattr(args, flag[2:].replace("-", "_")) not in (None, []):
+                raise ConfigError("fit --profile fits the file as written "
+                                  "and takes no config flags", key=flag)
         grid = mapio.read_map_csv(args.profile)
-        line = args.line or "y=0"
-        rc = None
+        line = "y=0" if args.line is None else args.line
     else:
         if not args.config:
             raise ConfigError("fit needs --profile or --config")
@@ -145,7 +141,7 @@ def cmd_fit(args):
         grid = maps.sweep_phase_map(rc.source, rc.grid,
                                     filter_center_nm=rc.filter_nm,
                                     workers=args.workers)
-        line = args.line or rc.fit_line
+        line = rc.fit_line
     fit = maps.fit_quadratic_profile(grid, line)
     thetas_deg = np.degrees(fit.thetas)
     slope_deg_per_deg = np.radians(1.0) * fit.slope(fit.thetas)
@@ -173,30 +169,29 @@ def _build_parser():
                    version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True, grid=False, filt=False):
+    def common(sp, config_required=True, sweep=False):
         sp.add_argument("--config", required=config_required,
                         help="YAML run configuration")
         sp.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
         sp.add_argument("--out", help="output file path")
-        if grid:
+        if sweep:
             sp.add_argument("--grid", metavar="NXxNY",
                             help="override the grid resolution")
             sp.add_argument("--workers", type=int, default=None,
                             help="accepted for compatibility; has no effect "
                                  "(sweeps run on one thread)")
-        if filt:
             sp.add_argument("--filter-nm", type=float, dest="filter_nm",
                             help="narrow-filter center wavelength [nm]")
 
     sp = sub.add_parser("phase-map", help="compute a relative-phase map")
-    common(sp, grid=True, filt=True)
-    sp.set_defaults(func=cmd_phase_map)
+    common(sp, sweep=True)
+    sp.set_defaults(func=cmd_map, sweep=maps.sweep_phase_map)
 
     sp = sub.add_parser("delay-map", help="compute time-delay maps")
-    common(sp, grid=True, filt=True)
-    sp.set_defaults(func=cmd_delay_map)
+    common(sp, sweep=True)
+    sp.set_defaults(func=cmd_map, sweep=maps.sweep_delay_map)
 
     sp = sub.add_parser("phase-match",
                         help="report the degenerate emission angle")
@@ -211,7 +206,7 @@ def _build_parser():
     sp.set_defaults(func=cmd_find_tilt)
 
     sp = sub.add_parser("fit", help="quadratic fit of a map profile")
-    common(sp, config_required=False, grid=True, filt=True)
+    common(sp, config_required=False, sweep=True)
     sp.add_argument("--profile", help="existing map CSV to fit instead of "
                                       "computing one")
     sp.add_argument("--line", help='profile line: "y=0", "x=0" or '

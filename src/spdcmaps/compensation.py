@@ -66,22 +66,20 @@ def constrained_pump_state(pump, source):
                    crystal2=crystals[1], base_axes=base)
 
 
-def tracked_target(source, phi_target=None, xtol=1e-12):
+def tracked_target(source):
     """Degenerate emission coordinate that follows the tilted pump.
 
     Solves the degenerate cone offset for the source's pump in crystal 1
-    at cone azimuth phi_target and maps it to a laboratory coordinate.
-    The default azimuth, half a turn from the tilt azimuth, picks the
-    cone point that stays in the tilt plane on the face-normal side.
-    Returns (EmissionCoord, cone offset in radians).
+    to 1e-12 rad at the cone azimuth half a turn from the tilt azimuth,
+    the point that stays in the tilt plane on the face-normal side, and
+    maps it to a laboratory coordinate.  Returns (EmissionCoord, cone
+    offset in radians).
     """
     pump = source.pump
-    if phi_target is None:
-        phi_target = pump.phi_p + math.pi
-    delta = phasematch.degenerate_emission_angle(
-        source.crystal1, pump, phi_target=phi_target, xtol=xtol)
+    phi = pump.phi_p + math.pi
+    delta = phasematch.degenerate_emission_angle(source.crystal1, pump, phi)
     tilt = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p)
-    return phasematch.degenerate_coord(pump, tilt, delta, phi_target), delta
+    return phasematch.degenerate_coord(pump, tilt, delta, phi), delta
 
 
 def tilt_delay(source, theta_p, phi_p, target=None):
@@ -160,15 +158,15 @@ def scan_tilt(source, phi_p, theta_range, n_samples, target=None):
                           bracket=bracket)
 
 
-def refine_tilt(source, phi_p, scan, target=None, xtol=1e-6):
+def refine_tilt(source, phi_p, scan, target=None):
     """Tilt angle (radians) nulling the delay, from a scan_tilt result
     taken with the same target.
 
-    Refines the scan's sign-change bracket to xtol by the ITP root finder,
-    reusing the scan's delays at the bracket ends, then re-evaluates the
-    delay there; the angle is returned only when that re-check passes.
-    Raises NoSolutionError when the scan shows no sign change (or the
-    refined point fails the re-check).
+    Refines the scan's sign-change bracket to 1e-6 rad by the ITP root
+    finder, reusing the scan's delays at the bracket ends, then
+    re-evaluates the delay there; the angle is returned only when that
+    re-check passes.  Raises NoSolutionError when the scan shows no sign
+    change (or the refined point fails the re-check).
     """
     if scan.root is not None:
         return scan.root
@@ -184,7 +182,7 @@ def refine_tilt(source, phi_p, scan, target=None, xtol=1e-6):
         return tilt_delay(source, th, phi_p, target)[0]
 
     root = bisect_secant(residual, scan.bracket[0], scan.bracket[1],
-                         xtol=xtol)
+                         xtol=1e-6)
     left = residual(root)
     if not abs(left) < DELAY_TOLERANCE_FS:
         raise NoSolutionError(
@@ -195,8 +193,8 @@ def refine_tilt(source, phi_p, scan, target=None, xtol=1e-6):
 
 def find_self_compensating_tilt(source, phi_p, target=None,
                                 theta_range=(0.0, math.radians(60.0)),
-                                n_samples=25, xtol=1e-6):
+                                n_samples=25):
     """Tilt angle (radians) nulling the time delay at the target:
-    scan_tilt over the range, then refine_tilt of that scan."""
+    scan_tilt over the range, then refine_tilt of that scan to 1e-6 rad."""
     scan = scan_tilt(source, phi_p, theta_range, n_samples, target)
-    return refine_tilt(source, phi_p, scan, target, xtol)
+    return refine_tilt(source, phi_p, scan, target)

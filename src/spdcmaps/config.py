@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import yaml
 
 from . import crystal, maps, phasematch
-from .errors import ConfigError, RangeError
+from .errors import ConfigError, FitError, RangeError
 
 _REQUIRED = object()
 
@@ -185,7 +185,7 @@ def _check_dispersion_range(canon, material, which):
 
 
 def _build_crystal(canon, which):
-    with _rekey(f"{which}.material"):
+    with _rekey(which):
         mat = crystal.get_material(canon[f"{which}.material"])
     _check_dispersion_range(canon, mat, which)
     with _rekey(which):
@@ -255,18 +255,13 @@ def build_run_config(flat):
 
     line = canon["fit.line"]
     if line not in ("y=0", "x=0"):
-        head, sep, tail = line.partition("=")
-        ok = head == "phi" and sep
-        if ok:
-            try:
-                ok = math.isfinite(float(tail))
-            except ValueError:
-                ok = False
-        if not ok:
+        try:
+            maps._line_azimuth(line)
+        except FitError:
             raise ConfigError(
                 f"line must be 'y=0', 'x=0' or 'phi=<degrees>' with finite "
                 f"degrees, got {line!r}",
-                key="fit.line")
+                key="fit.line") from None
 
     return RunConfig(
         source=source, grid=grid, filter_nm=filter_nm,

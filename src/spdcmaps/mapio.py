@@ -57,8 +57,9 @@ def write_map_csv(grid, path, version):
         [_column(grid.coord1) * ny, coord2, *map(_column, grid.values)])
 
 
-def write_sidecar(path, grid, version, extra=None):
-    """JSON metadata sidecar (the only place a timestamp appears)."""
+def write_sidecar(path, grid, version, extra):
+    """JSON metadata sidecar (the only place a timestamp appears): the
+    map's header fields, metadata and timestamp, plus the keys of extra."""
     ny, nx = grid.values[0].shape
     doc = {
         "format": FORMAT_NAME,
@@ -69,9 +70,8 @@ def write_sidecar(path, grid, version, extra=None):
         "columns": list(grid.coord_names + grid.value_names),
         "meta": grid.metadata,
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        **extra,
     }
-    if extra:
-        doc.update(extra)
     out = sidecar_path(path)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

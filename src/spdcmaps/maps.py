@@ -447,6 +447,20 @@ class QuadraticFit:
         return float(np.nanmax(self.samples) - np.nanmin(self.samples))
 
 
+def _line_azimuth(line):
+    """Degrees of a "phi=<degrees>" line spec; FitError unless it has
+    that form with a finite number."""
+    if not line.startswith("phi="):
+        raise FitError(f"unknown line spec {line!r} for an angular map")
+    try:
+        target = float(line[4:])
+    except ValueError:
+        target = math.nan
+    if not math.isfinite(target):
+        raise FitError(f"bad azimuth in line spec {line!r}")
+    return target
+
+
 def profile_line(grid, line):
     """Extract (signed polar angle rad, values) along a map line.
 
@@ -468,15 +482,7 @@ def profile_line(grid, line):
         else:
             raise FitError(f"unknown line spec {line!r} for a detection-plane map")
     else:
-        if not line.startswith("phi="):
-            raise FitError(f"unknown line spec {line!r} for an angular map")
-        try:
-            target = float(line[4:])
-        except ValueError:
-            target = math.nan
-        if not math.isfinite(target):
-            raise FitError(f"bad azimuth in line spec {line!r}")
-        i = int(np.argmin(np.abs(grid.coord2 - target)))
+        i = int(np.argmin(np.abs(grid.coord2 - _line_azimuth(line))))
         vals = grid.values[0][i, :]
         thetas = np.deg2rad(grid.coord1)
     return thetas, vals

@@ -194,8 +194,7 @@ def degenerate_coord(pump, tilt, delta, phi):
     return EmissionCoord(omega=0.5 * pump.omega, theta=ang.theta, phi=ang.phi)
 
 
-def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0,
-                              xtol=1e-12):
+def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0):
     """External polar offset of degenerate (omega_p/2) phase matching.
 
     The emission direction is taken on a cone around the external pump
@@ -205,9 +204,9 @@ def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0,
     ring, independent of phi_target.  A cut matched exactly on axis
     (collinear, |mismatch| below COLLINEAR_MISMATCH_PER_MM at zero offset)
     reports 0.0; otherwise the noncollinear bracket [0.1 deg, 15 deg] is
-    searched to xtol by the ITP root finder, and NoSolutionError signals a
-    bracket with no sign change, quoting the bracket in degrees and the
-    mismatch at its ends.
+    searched to 1e-12 rad by the ITP root finder, and NoSolutionError
+    signals a bracket with no sign change, quoting the bracket in degrees
+    and the mismatch at its ends.
     """
     tilt = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p)
     state = pump_internal_state(pump, crystal_spec)
@@ -219,7 +218,7 @@ def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0,
     if abs(mismatch(0.0)) < COLLINEAR_MISMATCH_PER_MM:
         return 0.0
     try:
-        return bisect_secant(mismatch, _BRACKET_LO, _BRACKET_HI, xtol=xtol)
+        return bisect_secant(mismatch, _BRACKET_LO, _BRACKET_HI, xtol=1e-12)
     except NoSolutionError:
         raise NoSolutionError(
             f"no degenerate phase matching on the cone bracket "

@@ -522,6 +522,26 @@ def test_cli_bad_inputs_exit_config(tmp_path, li_cfg, capsys):
     assert "filter.center_nm" in capsys.readouterr().err
 
 
+def test_unknown_material_names_its_key_once(li_cfg, capsys):
+    flat = config.load_config_file(li_cfg)
+    flat["crystal1.material"] = "Quartz"
+    with pytest.raises(ConfigError, match="unknown material") as exc:
+        config.build_run_config(flat)
+    assert exc.value.key == "crystal1.material"
+    assert cli.main(["phase-match", "--config", li_cfg,
+                     "--set", "crystal1.material=Quartz"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: crystal1.material: unknown material 'Quartz'")
+
+
+def test_cli_map_default_file_names(tmp_path, li_cfg, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for command, kind in (("phase-map", "phase"), ("delay-map", "delay")):
+        assert cli.main([command, "--config", li_cfg, "--grid", "3x3"]) == 0
+        assert mapio.read_map_csv(f"{kind}_map.csv").kind == kind
+        assert (tmp_path / f"{kind}_map.json").exists()
+
+
 def test_cli_io_failures_exit_io(tmp_path, li_cfg, capsys):
     assert cli.main(["phase-map", "--config",
                      str(tmp_path / "missing.yaml")]) == 4
@@ -674,6 +694,53 @@ def test_cli_fit_rejects_a_non_finite_azimuth(tmp_path, li_cfg, capsys):
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and "fit.line" in err
         assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--config", None), ("--set", "fit.line=x=0"), ("--grid", "3x3"),
+    ("--filter-nm", "702.2")])
+def test_cli_fit_profile_refuses_config_flags(tmp_path, li_cfg, capsys,
+                                              flag, value):
+    pm = tmp_path / "pm.csv"
+    assert cli.main(["phase-map", "--config", li_cfg, "--grid", "9x3",
+                     "--out", str(pm)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "fit.csv"
+    assert cli.main(["fit", "--profile", str(pm), "--out", str(out),
+                     flag, li_cfg if value is None else value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {flag}: ")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("line", ["diag", "phi=nan"])
+def test_cli_fit_line_flag_is_the_config_key(tmp_path, li_cfg, capsys, line):
+    out = tmp_path / "fit.csv"
+    errs = []
+    for how in (["--line", line], ["--set", f"fit.line={line}"]):
+        assert cli.main(["fit", "--config", li_cfg, "--grid", "9x3",
+                         "--out", str(out), *how]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("configuration error: fit.line: ")
+    assert not out.exists()
+
+
+def test_cli_solves_to_the_documented_tolerances(bbo_cfg, capsys,
+                                                 monkeypatch):
+    seen = {}
+    for mod in (phasematch, compensation):
+        def recording(func, lo, hi, xtol, _name=mod.__name__,
+                      _solve=mod.bisect_secant):
+            seen.setdefault(_name, set()).add(xtol)
+            return _solve(func, lo, hi, xtol=xtol)
+        monkeypatch.setattr(mod, "bisect_secant", recording)
+    assert cli.main(["phase-match", "--config", bbo_cfg]) == 0
+    assert seen == {"spdcmaps.phasematch": {1e-12}}
+    assert cli.main(["find-tilt", "--config", bbo_cfg]) == 0
+    assert seen == {"spdcmaps.phasematch": {1e-12},
+                    "spdcmaps.compensation": {1e-6}}
+    assert "self-compensating tilt: 51.22" in capsys.readouterr().out
 
 
 def test_cli_fit_needs_some_input(capsys):
