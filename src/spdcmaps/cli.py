@@ -138,6 +138,11 @@ def cmd_fit(args):
         if not args.config:
             raise ConfigError("fit needs --profile or --config")
         rc = _load_run(args)
+        try:
+            # the line must exist on the grid's mode before the sweep runs
+            maps._line_target(rc.grid.mode, rc.fit_line)
+        except FitError as exc:
+            raise ConfigError(str(exc), key="fit.line") from None
         grid = maps.sweep_phase_map(rc.source, rc.grid,
                                     filter_center_nm=rc.filter_nm,
                                     workers=args.workers)
@@ -175,8 +180,9 @@ def _build_parser():
         sp.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
-        sp.add_argument("--out", help="output file path")
         if sweep:
+            # the sweep commands are the ones that write a file
+            sp.add_argument("--out", help="output file path")
             sp.add_argument("--grid", metavar="NXxNY",
                             help="override the grid resolution")
             sp.add_argument("--workers", type=int, default=None,

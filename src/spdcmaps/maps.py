@@ -10,7 +10,7 @@ plane, are what this module evaluates, pointwise and on grids.
 
 Grid sweeps evaluate array kernels on blocks of whole rows in one serial
 loop and mark bad cells NaN.  Pointwise operations take one EmissionCoord,
-run the same kernels on one-cell arrays, and raise on invalid kinematics;
+run the same kernels on 0-d values, and raise on invalid kinematics;
 the partner photon is located from the signal's transverse components in
 both, the same way.  Every kernel is elementwise and loop-free (explicit
 component arithmetic, closed-form refraction and walkoff ray), so a
@@ -227,21 +227,21 @@ def _interval_values(source, w, sx, sy):
 
 
 def _at(kernel, source, coord, photon="s"):
-    """One-cell evaluation of an array kernel: at coord itself for photon
-    's', at its conjugate partner for 'i', reached as the sweeps reach it.
-    Returns a float or a tuple of floats."""
+    """Pointwise evaluation of an array kernel on 0-d values: at coord
+    itself for photon 's', at its conjugate partner for 'i', reached as
+    the sweeps reach it.  Returns a float or a tuple of floats."""
     if photon not in ("s", "i"):
         raise ValueError(f"photon must be 's' or 'i', got {photon!r}")
     w = coord.omega
-    sx, sy = _transverse(np.array([coord.theta]), np.array([coord.phi]))
+    sx, sy = _transverse(np.float64(coord.theta), np.float64(coord.phi))
     if photon == "i":
         phasematch.conjugate(coord, source.pump)  # KinematicsError if none
         w, sx, sy = _partner(source.pump, w, sx, sy)
-    vals = np.hstack(kernel(source, w, sx, sy))
+    vals = np.asarray(kernel(source, w, sx, sy), dtype=float)
     if not np.isfinite(vals).all():
         raise RefractionError(
             "no forward extraordinary transit at this coordinate")
-    return float(vals[0]) if vals.size == 1 else tuple(vals.tolist())
+    return float(vals) if vals.ndim == 0 else tuple(vals.tolist())
 
 
 # ---------------------------------------------------------- pointwise ops
@@ -342,7 +342,7 @@ class MapGrid:
 
 
 def _transverse(theta, phi):
-    """Air-side transverse direction components (arrays)."""
+    """Air-side transverse direction components (arrays or 0-d values)."""
     s = np.sin(theta)
     return s * np.cos(phi), s * np.sin(phi)
 
@@ -461,31 +461,35 @@ def _line_azimuth(line):
     return target
 
 
+def _line_target(mode, line):
+    """What a line spec selects on a map of the given mode: "y=0" or "x=0"
+    itself on a detection-plane map, the azimuth in degrees of
+    "phi=<degrees>" on an angular one; FitError for any other spec."""
+    if mode != DETECTION_MODE:
+        return _line_azimuth(line)
+    if line not in ("y=0", "x=0"):
+        raise FitError(f"unknown line spec {line!r} for a detection-plane map")
+    return line
+
+
 def profile_line(grid, line):
     """Extract (signed polar angle rad, values) along a map line.
 
     line is "y=0" or "x=0" for detection-plane maps, "phi=<degrees>" (a
     finite number) for angular maps; the nearest grid row/column is used.
     """
-    if grid.mode == DETECTION_MODE:
-        L = grid.metadata.get("source", {}).get("detection_distance_mm")
-        if L is None:
-            raise FitError("grid metadata lacks the detection distance")
-        if line == "y=0":
-            i = int(np.argmin(np.abs(grid.coord2)))
-            vals = grid.values[0][i, :]
-            thetas = np.arctan(grid.coord1 / L)
-        elif line == "x=0":
-            j = int(np.argmin(np.abs(grid.coord1)))
-            vals = grid.values[0][:, j]
-            thetas = np.arctan(grid.coord2 / L)
-        else:
-            raise FitError(f"unknown line spec {line!r} for a detection-plane map")
-    else:
-        i = int(np.argmin(np.abs(grid.coord2 - _line_azimuth(line))))
-        vals = grid.values[0][i, :]
-        thetas = np.deg2rad(grid.coord1)
-    return thetas, vals
+    target = _line_target(grid.mode, line)
+    if grid.mode != DETECTION_MODE:
+        i = int(np.argmin(np.abs(grid.coord2 - target)))
+        return np.deg2rad(grid.coord1), grid.values[0][i, :]
+    L = grid.metadata.get("source", {}).get("detection_distance_mm")
+    if L is None:
+        raise FitError("grid metadata lacks the detection distance")
+    if line == "y=0":
+        i = int(np.argmin(np.abs(grid.coord2)))
+        return np.arctan(grid.coord1 / L), grid.values[0][i, :]
+    j = int(np.argmin(np.abs(grid.coord1)))
+    return np.arctan(grid.coord2 / L), grid.values[0][:, j]
 
 
 def fit_quadratic_profile(grid, line="y=0"):

@@ -6,6 +6,10 @@ combined with explicit x/y/z arithmetic rather than einsum or matmul
 reductions, and no routine iterates, so each element of a batch goes
 through the same fixed sequence of operations: a result does not depend
 on what else shares the batch or on how a grid is cut into batches.
+Each component expression is written once: a single vector packs its
+0-d components with np.array, a batch broadcasts and stacks them, so the
+solvers, which move one vector at a time, skip the batch packing and a
+single vector still equals the matching row of a batch bitwise.
 
 Angles are radians throughout.  Scalar inputs raise on failure (total
 internal reflection); batched inputs mark the offending rows NaN and keep
@@ -17,6 +21,7 @@ at any interface, the map sweeps' transit (maps._Transit) from the
 air-side transverse components at the z face, without stacking them.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -55,8 +60,10 @@ def direction_from_angles(theta, phi):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     st = np.sin(theta)
-    return np.stack(np.broadcast_arrays(
-        st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
+    parts = (st * np.cos(phi), st * np.sin(phi), np.cos(theta))
+    if theta.ndim == 0 and phi.ndim == 0:
+        return np.array(parts)
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
 _POLE_EPS = 1e-14
@@ -72,14 +79,14 @@ def angles_from_direction(v):
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError("expected a single 3-vector")
-    n = float(norm3(v))
+    x, y, z = v.tolist()
+    n = math.sqrt(x * x + y * y + z * z)
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"direction must be unit length, got |v| = {n!r}")
-    z = min(1.0, max(-1.0, float(v[2])))
-    theta = float(np.arccos(z))
-    if v[0] * v[0] + v[1] * v[1] <= _POLE_EPS * _POLE_EPS:
+    theta = float(np.arccos(min(1.0, max(-1.0, z))))
+    if x * x + y * y <= _POLE_EPS * _POLE_EPS:
         return SphericalAngles(theta, 0.0)
-    phi = float(np.arctan2(v[1], v[0]))
+    phi = float(np.arctan2(y, x))
     if phi <= -np.pi:
         phi = np.pi
     return SphericalAngles(theta, phi)
@@ -121,11 +128,13 @@ def tilt_rotation(theta, phi):
 def apply_rotation(R, v):
     """R @ v for a 3x3 matrix and (..., 3) vectors, explicit components."""
     v = np.asarray(v, dtype=float)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack(np.broadcast_arrays(
-        R[0, 0] * x + R[0, 1] * y + R[0, 2] * z,
-        R[1, 0] * x + R[1, 1] * y + R[1, 2] * z,
-        R[2, 0] * x + R[2, 1] * y + R[2, 2] * z), axis=-1)
+    x, y, z = v.tolist() if v.ndim == 1 else (v[..., 0], v[..., 1], v[..., 2])
+    parts = (R[0, 0] * x + R[0, 1] * y + R[0, 2] * z,
+             R[1, 0] * x + R[1, 1] * y + R[1, 2] * z,
+             R[2, 0] * x + R[2, 1] * y + R[2, 2] * z)
+    if v.ndim == 1:
+        return np.array(parts)
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
 def _tangential_split(k_in, normal):

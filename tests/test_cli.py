@@ -726,6 +726,48 @@ def test_cli_fit_line_flag_is_the_config_key(tmp_path, li_cfg, capsys, line):
     assert not out.exists()
 
 
+_ANGULAR = ["--set", "grid.mode=angular_theta_phi", "--set", "grid.x_min=0",
+            "--set", "grid.y_min=0"]
+
+
+@pytest.mark.parametrize("how", [
+    _ANGULAR,                               # default y=0 on an angular grid
+    _ANGULAR + ["--line", "x=0"],
+    ["--set", "fit.line=phi=45"],           # azimuth on a detection plane
+    ["--line", "phi=0"]])
+def test_cli_fit_line_must_exist_on_the_grid_mode(tmp_path, li_cfg, capsys,
+                                                  monkeypatch, how):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before the line was checked")
+    monkeypatch.setattr(maps, "sweep_phase_map", no_sweep)
+    out = tmp_path / "fit.csv"
+    assert cli.main(["fit", "--config", li_cfg, "--grid", "9x3",
+                     "--out", str(out), *how]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: fit.line: ")
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_cli_maps_on_an_angular_grid_ignore_the_fit_line(tmp_path, li_cfg):
+    # only fit reads fit.line, so the map commands keep its default
+    for command in ("phase-map", "delay-map"):
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--config", li_cfg, "--grid", "9x3",
+                         "--out", str(out), *_ANGULAR]) == 0
+        assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["phase-match", "find-tilt"])
+def test_cli_out_only_on_commands_that_write(tmp_path, bbo_cfg, capsys,
+                                             command):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as e:
+        cli.main([command, "--config", bbo_cfg, "--out", str(out)])
+    assert e.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_solves_to_the_documented_tolerances(bbo_cfg, capsys,
                                                  monkeypatch):
     seen = {}

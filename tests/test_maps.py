@@ -263,6 +263,20 @@ def test_pointwise_calls_reproduce_every_sweep_cell():
                 assert maps.time_delay(source, c, "i") == dm.values[1][i, j]
 
 
+def test_pointwise_calls_return_plain_floats():
+    # the kernels run on 0-d values; no numpy scalar or 0-d array leaks
+    for source, w in ((LI, W_LI), (BBO, W_BBO)):
+        c = coord_at(25.0, -10.0, w)
+        for value in (maps.relative_phase(source, c),
+                      maps.time_delay(source, c, "s"),
+                      maps.time_delay(source, c, "i")):
+            assert type(value) is float
+        for photon in "si":
+            pair = maps.time_intervals(source, c, photon)
+            assert type(pair) is tuple and len(pair) == 2
+            assert all(type(t) is float for t in pair)
+
+
 def test_transit_components_match_the_vector_path():
     # reference: the stacked air-side wavevector refracted through the
     # general-normal vector path, then the stacked surface-normal ray

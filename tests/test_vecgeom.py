@@ -112,6 +112,33 @@ def test_apply_rotation_matches_matmul():
     assert np.allclose(vecgeom.apply_rotation(R, v), v @ R.T, atol=1e-14)
 
 
+def test_single_vector_path_equals_the_batch_rows_bitwise():
+    # a single vector packs its 0-d components, a batch broadcasts and
+    # stacks them; both run the same component expressions
+    rng = np.random.default_rng(29)
+    th = rng.uniform(0.0, math.pi, 200)
+    ph = rng.uniform(-math.pi, math.pi, 200)
+    dirs = vecgeom.direction_from_angles(th, ph)
+    for _ in range(5):
+        R = vecgeom.tilt_rotation(rng.uniform(0.0, 1.5),
+                                  rng.uniform(-math.pi, math.pi))
+        rotated = vecgeom.apply_rotation(R, dirs)
+        # the batch form of angles_from_direction's clamp and arctan2
+        thetas = np.arccos(np.clip(rotated[:, 2], -1.0, 1.0))
+        phis = np.arctan2(rotated[:, 1], rotated[:, 0])
+        for i in range(len(th)):
+            d = vecgeom.direction_from_angles(float(th[i]), float(ph[i]))
+            assert d.shape == (3,) and d.tobytes() == dirs[i].tobytes()
+            r = vecgeom.apply_rotation(R, d)
+            assert r.shape == (3,) and r.tobytes() == rotated[i].tobytes()
+            a = vecgeom.angles_from_direction(r)
+            assert type(a.theta) is float and type(a.phi) is float
+            assert a.theta.hex() == float(thetas[i]).hex()
+            assert a.phi.hex() == float(phis[i]).hex()
+            with pytest.raises(ValueError, match="unit length"):
+                vecgeom.angles_from_direction((1.0 + 1e-6) * r)
+
+
 # ------------------------------------------------------ snell refraction
 
 def test_refract_ordinary_normal_incidence_passthrough():
