@@ -61,7 +61,8 @@ def _write_grid(grid, out, rc):
                 f"{name}: no cell of the {ny} x {nx} window {x} "
                 f"[{grid.coord1[0]:g}, {grid.coord1[-1]:g}], {y} "
                 f"[{grid.coord2[0]:g}, {grid.coord2[-1]:g}] had a valid "
-                f"transit (every cell NA); nothing written")
+                f"transit: the partner photon is evanescent in air in every "
+                f"cell (or the detected one grazes the face); nothing written")
     path = mapio.write_map_csv(grid, out, __version__)
     side = mapio.write_sidecar(out, grid, __version__,
                                extra={"config": rc.flat})

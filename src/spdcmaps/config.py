@@ -230,6 +230,9 @@ def build_run_config(flat):
         x_min=canon["grid.x_min"], x_max=canon["grid.x_max"],
         y_min=canon["grid.y_min"], y_max=canon["grid.y_max"],
         mode=canon["grid.mode"])
+    if grid.nx * grid.ny > 2 ** 24:  # capped before any plane is allocated
+        raise ConfigError(f"{grid.nx} x {grid.ny} cells exceed the cap of "
+                          f"2^24 = {2 ** 24}", key="grid")
 
     filter_nm = canon["filter.center_nm"]
     if filter_nm is not None:
@@ -249,8 +252,8 @@ def build_run_config(flat):
     if not t_lo < t_hi:
         raise ConfigError("tilt range must satisfy min < max",
                           key="tilt.theta_max_deg")
-    if canon["tilt.n_samples"] < 2:
-        raise ConfigError("tilt scan needs at least two samples",
+    if not 2 <= canon["tilt.n_samples"] <= 10_000:
+        raise ConfigError("tilt scan needs 2 to 10000 samples",
                           key="tilt.n_samples")
 
     line = canon["fit.line"]

@@ -32,8 +32,8 @@ class RefractionError(SpdcError):
 
 
 class KinematicsError(SpdcError):
-    """No propagating partner wave exists for the requested coordinate
-    (evanescent conjugate), or no cell of a map has a valid transit."""
+    """No propagating pair here (omega_p - omega_s <= 0, a partner
+    evanescent in air, a photon grazing the face), or no valid map cell."""
 
 
 class NoSolutionError(SpdcError):

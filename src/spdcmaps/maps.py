@@ -8,18 +8,17 @@ arrival-time difference between those two birth histories, as functions of
 where (and at what frequency) the photons land on a distant detection
 plane, are what this module evaluates, pointwise and on grids.
 
-Grid sweeps evaluate array kernels on blocks of whole rows in one serial
-loop and mark bad cells NaN.  Pointwise operations take one EmissionCoord,
-run the same kernels on 0-d values, and raise on invalid kinematics;
-the partner photon is located from the signal's transverse components in
-both, the same way.  Every kernel is elementwise and loop-free (explicit
-component arithmetic, closed-form refraction and walkoff ray), so a
-cell's value does not depend on the block it was computed in:
-relative_phase and time_delay for either photon reproduce the phase and
-both delay columns bitwise.  The extraordinary transit works on the
-air-side transverse components (sx, sy) and stacks no 3-vectors: it
-calls the one copy of the refraction quadratic (vecgeom._forward_root)
-and of the index-surface normal (crystal._ray_components).
+Grid sweeps run elementwise array kernels on blocks of whole rows and
+mark bad cells NaN; pointwise operations run the same kernels on one
+EmissionCoord's 0-d values, so relative_phase and time_delay for either
+photon reproduce the phase and both delay columns bitwise.  The transit
+calls the one copy of the refraction quadratic (vecgeom._larger_root)
+and of the ray (crystal._ray_components) on the air-side transverse
+components.  From air it always exists (_Transit), so a NaN cell has one
+cause: the partner photon is evanescent in air.  Pointwise, relative_phase
+and photon 'i' raise KinematicsError there, and first where omega_p -
+omega_s <= 0; any call raises it for a photon grazing the face (its sine
+rounding to 1).  No pointwise call raises RefractionError.
 """
 
 import math
@@ -30,8 +29,7 @@ import numpy as np
 
 from . import crystal, phasematch, vecgeom
 from .crystal import C_NM_FS
-from .errors import ConfigError, FitError, RefractionError
-from .phasematch import EmissionCoord
+from .errors import ConfigError, FitError, KinematicsError
 
 DETECTION_MODE = "detection_plane_xy"
 ANGULAR_MODE = "angular_theta_phi"
@@ -115,44 +113,51 @@ def source_snapshot(source):
 # ------------------------------------------------------------ array kernels
 
 class _Transit:
-    """Extraordinary transit of one photon species through crystal 2,
-    for arrays of air-side transverse direction components (sx, sy).
+    """Extraordinary transit of one photon species through crystal 2 for
+    arrays or 0-d values of air-side transverse components (sx, sy).
 
-    Entry from air through the z face keeps the tangential wavevector
-    (sx, sy, 0), so the refraction and the ray are written on components:
-    k.a = sx a_x + sy a_y + a_z k_z, and s^2 >= 1 (no wave in air) is NaN.
+    Entry from air through the z face keeps t = (sx, sy, 0); t2 = s^2 >= 1
+    (no wave in air) is NaN.  Else the bare larger root is the transit:
+    F(k) = |k|^2/n_e^2 + (1/n_o^2 - 1/n_e^2) (k.a)^2 = 1 is quadratic in
+    k_z with constant term F(t) - 1 <= t2/min(n_o, n_e)^2 - 1 < 0, since
+    t2 < 1 < n^2, so exactly one root is positive.  There dF/dk_z =
+    2 sqrt(disc) > 0 is twice the z component of the ray g: rz > 0.
     """
 
-    __slots__ = ("n", "ca_k", "ca_ray", "cos_rho", "rx", "ry", "rz", "valid")
+    __slots__ = ("n", "ca_k", "ca_ray", "cos_rho", "rx", "ry", "rz")
 
     def __init__(self, spec, omega, sx, sy):
-        sx = np.asarray(sx, dtype=float)
-        sy = np.asarray(sy, dtype=float)
         ax, ay, az = spec._axis
         _, n_o, n_ep = crystal._indices(spec.material, omega)
         t2 = sx * sx + sy * sy
         t2 = np.where(t2 < 1.0, t2, np.nan)
-        kz = vecgeom._forward_root(sx * ax + sy * ay, az, t2, n_o, n_ep)
+        kz, _ = vecgeom._larger_root(sx * ax + sy * ay, az, t2, n_o, n_ep)
         n = np.sqrt(t2 + kz * kz)
         self.n = n
         (self.rx, self.ry, self.rz, self.cos_rho, self.ca_ray,
          self.ca_k) = crystal._ray_components(sx / n, sy / n, kz / n,
                                               spec, omega)
-        self.valid = np.isfinite(n) & (self.rz > 0.0)
+
+    @property
+    def valid(self):
+        """Finite with a forward ray; by the argument above, where t2 < 1."""
+        return np.isfinite(self.n) & (self.rz > 0.0)
 
 
 def _partner(pump, w_s, sx, sy):
-    """Partner frequency and transverse direction components (arrays) under
-    energy and transverse-momentum conservation; NaN components where the
-    partner is evanescent in air."""
-    w_p = pump.omega
-    w_i = w_p - w_s
+    """Partner frequency and transverse components by energy and transverse
+    momentum conservation: norm >= 1 (NaN in its transit) where evanescent
+    in air, KinematicsError there for 0-d input and where w_i <= 0."""
+    w_i = pump.omega - w_s
+    if not w_i > 0.0:
+        raise KinematicsError(f"partner frequency {w_i:g} rad/fs <= 0")
     qpx, qpy = pump.transverse_q()
     scale = w_s / C_NM_FS
     six = (qpx - scale * sx) * C_NM_FS / w_i
     siy = (qpy - scale * sy) * C_NM_FS / w_i
-    evan = six * six + siy * siy >= 1.0
-    return w_i, np.where(evan, np.nan, six), np.where(evan, np.nan, siy)
+    if np.ndim(six) == 0 and not six * six + siy * siy < 1.0:
+        raise KinematicsError("partner photon is evanescent in air")
+    return w_i, six, siy
 
 
 def _phase_values(source, w_s, sx, sy):
@@ -164,9 +169,7 @@ def _phase_values(source, w_s, sx, sy):
     for w, ax, ay in ((w_s, sx, sy), (w_i, six, siy)):
         t = _Transit(spec2, w, ax, ay)
         term = t.n * t.cos_rho + t.rx * ax + t.ry * ay
-        contrib = (w * d2 * 1e6 / (C_NM_FS * t.rz)) * term
-        contrib = np.where(t.valid, contrib, np.nan)
-        total = total + contrib
+        total = total + (w * d2 * 1e6 / (C_NM_FS * t.rz)) * term
     if source.include_z_offset_phase:
         d1 = source.crystal1.length_mm
         offset = d1 + source.mu * (d2 - d1)
@@ -193,9 +196,8 @@ def _delay_values(source, w, sx, sy):
     d2 = source.crystal2.length_mm
     # two scaled terms, subtracted last: _interval_values adds this value
     # to t2, so t1 - t2 reproduces it when the plates are equal
-    dt = (1e6 / C_NM_FS) * (d2 * ng_eff / t.rz) \
+    return (1e6 / C_NM_FS) * (d2 * ng_eff / t.rz) \
         - (1e6 / C_NM_FS) * (d1 * ng_po)
-    return np.where(t.valid, dt, np.nan)
 
 
 def _interval_values(source, w, sx, sy):
@@ -228,20 +230,20 @@ def _interval_values(source, w, sx, sy):
 
 def _at(kernel, source, coord, photon="s"):
     """Pointwise evaluation of an array kernel on 0-d values: at coord
-    itself for photon 's', at its conjugate partner for 'i', reached as
-    the sweeps reach it.  Returns a float or a tuple of floats."""
+    itself for photon 's', at its partner for 'i', reached as the sweeps
+    reach it.  Returns a float or a tuple of floats.  KinematicsError from
+    _partner, or where a value is not finite (a photon grazing the face)."""
     if photon not in ("s", "i"):
         raise ValueError(f"photon must be 's' or 'i', got {photon!r}")
     w = coord.omega
     sx, sy = _transverse(np.float64(coord.theta), np.float64(coord.phi))
     if photon == "i":
-        phasematch.conjugate(coord, source.pump)  # KinematicsError if none
         w, sx, sy = _partner(source.pump, w, sx, sy)
-    vals = np.asarray(kernel(source, w, sx, sy), dtype=float)
-    if not np.isfinite(vals).all():
-        raise RefractionError(
-            "no forward extraordinary transit at this coordinate")
-    return float(vals) if vals.ndim == 0 else tuple(vals.tolist())
+    vals = kernel(source, w, sx, sy)
+    out = tuple(map(float, vals)) if isinstance(vals, tuple) else (float(vals),)
+    if not all(map(math.isfinite, out)):
+        raise KinematicsError("photon grazes the face (or omega is NaN)")
+    return out if isinstance(vals, tuple) else out[0]
 
 
 # ---------------------------------------------------------- pointwise ops
@@ -252,11 +254,10 @@ def relative_phase(source, signal):
 
     The value is continuous in the coordinate (the formula has no branch
     cuts), so no modular wrapping or unwrapping is involved; reduce it
-    mod 2 pi yourself if you need the principal value.  Raises
-    KinematicsError for impossible partners and RefractionError when a
-    transit fails.
+    mod 2 pi yourself if you need the principal value.  KinematicsError
+    where the partner frequency is not positive or the partner is
+    evanescent in air.
     """
-    phasematch.conjugate(signal, source.pump)  # KinematicsError if none
     return _at(_phase_values, source, signal)
 
 

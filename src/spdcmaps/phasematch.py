@@ -11,6 +11,7 @@ downconverted photons on the ordinary one.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -54,23 +55,28 @@ class EmissionCoord:
 class PumpConfig:
     """Pump beam: vacuum wavelength (nm), external incidence angles
     (radians), and the initial phase offset between its two polarization
-    components (radians, additive to every relative phase)."""
+    components (radians, additive to every relative phase).  omega and
+    transverse_q() are computed once per instance."""
 
     wavelength_nm: float
     theta_p: float = 0.0
     phi_p: float = 0.0
     phase_offset: float = 0.0
 
-    @property
+    @cached_property
     def omega(self):
         return crystal.omega_from_nm(self.wavelength_nm)
 
     def direction(self):
         return vecgeom.direction_from_angles(self.theta_p, self.phi_p)
 
-    def transverse_q(self):
+    @cached_property
+    def _q(self):
         s = (self.omega / C_NM_FS) * math.sin(self.theta_p)
         return (s * math.cos(self.phi_p), s * math.sin(self.phi_p))
+
+    def transverse_q(self):
+        return self._q
 
     def with_tilt(self, theta_p, phi_p):
         return replace(self, theta_p=theta_p, phi_p=phi_p)

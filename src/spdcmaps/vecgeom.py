@@ -15,10 +15,10 @@ Angles are radians throughout.  Scalar inputs raise on failure (total
 internal reflection); batched inputs mark the offending rows NaN and keep
 going, which is what the grid sweeps want.
 
-The extraordinary refraction's quadratic is written once, in
-_forward_root: refract_into_extraordinary feeds it from stacked vectors
-at any interface, the map sweeps' transit (maps._Transit) from the
-air-side transverse components at the z face, without stacking them.
+The extraordinary refraction's quadratic is written once, in _larger_root:
+refract_into_extraordinary feeds it stacked vectors through _forward_root,
+which masks total internal reflection, and the map sweeps' transit
+(maps._Transit) the air-side components at the z face, where none occurs.
 """
 
 import math
@@ -166,13 +166,11 @@ def refract_ordinary(k_in, normal, n_in, n_out):
     return out[0] if scalar else out
 
 
-def _forward_root(p, q, t2, n_o, n_ep):
-    """Normal component k_n of the forward extraordinary wavevector whose
-    tangential part t (|t|^2 = t2) is fixed and whose axis projection is
-    k.a = p + q k_n: the larger root of the index-ellipsoid quadratic
-    qa k_n^2 + 2 hb k_n + c = 0, NaN where it has no positive root.  The
-    one copy of the quadratic: refract_into_extraordinary and the sweeps'
-    air-to-crystal transit, which has t = (sx, sy, 0), both call it."""
+def _larger_root(p, q, t2, n_o, n_ep):
+    """(k_n, disc): the larger root of qa k_n^2 + 2 hb k_n + c = 0 and its
+    discriminant, unguarded, for the normal component k_n of a wavevector
+    whose tangential part t (|t|^2 = t2) is fixed and whose axis projection
+    is k.a = p + q k_n.  The one copy of the index-ellipsoid quadratic."""
     inv_e2 = 1.0 / (n_ep * n_ep)
     A = 1.0 / (n_o * n_o) - inv_e2
     qa = A * q * q + inv_e2
@@ -183,7 +181,12 @@ def _forward_root(p, q, t2, n_o, n_ep):
     # larger root (root - hb) / qa; where hb > 0 that difference cancels,
     # so use the equal product form -c / (hb + root) there
     far = hb > 0.0
-    kz = np.where(far, -c, root - hb) / np.where(far, hb + root, qa)
+    return np.where(far, -c, root - hb) / np.where(far, hb + root, qa), disc
+
+
+def _forward_root(p, q, t2, n_o, n_ep):
+    """_larger_root's k_n, NaN where the quadratic has no positive root."""
+    kz, disc = _larger_root(p, q, t2, n_o, n_ep)
     return np.where((disc < 0.0) | ~(kz > 0.0), np.nan, kz)
 
 

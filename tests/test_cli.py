@@ -788,3 +788,38 @@ def test_cli_solves_to_the_documented_tolerances(bbo_cfg, capsys,
 def test_cli_fit_needs_some_input(capsys):
     assert cli.main(["fit"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["find-tilt", "--scan", "--set", "tilt.n_samples=10001"],
+     "tilt.n_samples"),
+    (["find-tilt", "--scan", "--set", "tilt.n_samples=100000000"],
+     "tilt.n_samples"),
+    (["phase-map", "--grid", "4097x4097"], "grid"),
+    (["delay-map", "--grid", "1x16777217"], "grid"),
+    (["fit", "--grid", "100000x100000"], "grid"),
+], ids=["samples-cap", "samples-huge", "phase-grid", "delay-grid",
+        "fit-grid"])
+def test_cli_caps_on_unbounded_inputs(tmp_path, bbo_cfg, capsys, monkeypatch,
+                                     argv, key):
+    # rejected while the config is built: no sweep or scan may start
+    def no_work(*args, **kwargs):
+        raise AssertionError("a capped input reached the computation")
+    for mod, name in ((maps, "sweep_phase_map"), (maps, "sweep_delay_map"),
+                      (compensation, "scan_tilt")):
+        monkeypatch.setattr(mod, name, no_work)
+    out = tmp_path / "big.csv"
+    extra = ["--out", str(out)] if argv[0] != "find-tilt" else []
+    assert cli.main(argv + ["--config", bbo_cfg] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key}: ")
+    assert "cap" in err or "10000" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "big.json").exists()
+
+
+def test_caps_admit_their_bounds(bbo_cfg):
+    flat = config.load_config_file(bbo_cfg)
+    flat.update({"tilt.n_samples": 10000, "grid.nx": 4096, "grid.ny": 4096})
+    rc = config.build_run_config(flat)
+    assert rc.tilt_samples == 10000 and rc.grid.nx * rc.grid.ny == 2 ** 24

@@ -7,10 +7,13 @@ what actually validate the physics.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdcmaps import crystal, maps, phasematch, vecgeom
 from spdcmaps.errors import ConfigError, FitError, KinematicsError
@@ -537,3 +540,99 @@ def test_fit_requires_enough_valid_samples():
     g.values[0][:, :4] = np.nan
     with pytest.raises(FitError):
         maps.fit_quadratic_profile(g)
+
+
+# ------------------------------------------- pointwise failures and counts
+
+@settings(max_examples=300, deadline=None)
+@given(mat=st.sampled_from(["BBO", "LiIO3"]),
+       axis_theta=st.floats(0.0, math.pi),
+       axis_phi=st.floats(-math.pi, math.pi),
+       frac=st.floats(0.001, 0.999),
+       r=st.floats(0.0, 0.999999),
+       az=st.floats(-math.pi, math.pi))
+def test_transit_from_air_needs_no_root_guard(mat, axis_theta, axis_phi,
+                                              frac, r, az):
+    # the _Transit argument: from air (|s| < 1) the quadratic always has
+    # exactly one positive root and the ray leaves forward, so the bare
+    # root equals the guarded one bitwise
+    m = crystal.get_material(mat)
+    lo, hi = m.valid_nm
+    w = crystal.omega_from_nm(lo + frac * (hi - lo))
+    spec = crystal.CrystalSpec(m, 1.0, axis_theta, axis_phi)
+    sx = np.array([r * math.cos(az), 0.0, -r * math.sin(az)])
+    sy = np.array([r * math.sin(az), r, r * math.cos(az)])
+    t2 = sx * sx + sy * sy
+    assert np.all(t2 < 1.0)
+    ax, ay, az_ = spec._axis
+    _, n_o, n_ep = crystal._indices(m, w)
+    p = sx * ax + sy * ay
+    bare, disc = vecgeom._larger_root(p, az_, t2, n_o, n_ep)
+    assert np.all(np.isfinite(bare)) and np.all(bare > 0.0)
+    assert np.all(disc > 0.0)
+    assert np.array_equal(bare, vecgeom._forward_root(p, az_, t2, n_o, n_ep))
+    t = maps._Transit(spec, w, sx, sy)
+    assert np.all(np.isfinite(t.n)) and np.all(t.rz > 0.0)
+    assert np.all(t.valid)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.5])
+def test_pointwise_partner_frequency_not_positive(ratio):
+    c = EmissionCoord(LI.pump.omega * ratio, 0.01, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: maps.relative_phase(LI, c),
+                     lambda: maps.time_delay(LI, c, "i"),
+                     lambda: maps.time_intervals(LI, c, "i")):
+            with pytest.raises(KinematicsError, match="partner frequency"):
+                call()
+
+
+def test_pointwise_evanescent_partner_is_a_kinematics_error():
+    # BBO at 702.2 nm: the 956.9 nm partner leaves air above about 47 deg,
+    # while the detected photon itself still lands
+    gs = maps.GridSpec(9, 9, 0.0, 80.0, -180.0, 180.0,
+                       mode=maps.ANGULAR_MODE)
+    pm = maps.sweep_phase_map(BBO, gs, filter_center_nm=702.2)
+    dm = maps.sweep_delay_map(BBO, gs, filter_center_nm=702.2)
+    w = crystal.omega_from_nm(702.2)
+    xs, ys = gs.axes()
+    th, ph = np.deg2rad(xs), np.deg2rad(ys)
+    nan_cells = 0
+    for i in range(gs.ny):
+        for j in range(gs.nx):
+            c = EmissionCoord(w, float(th[j]), float(ph[i]))
+            assert maps.time_delay(BBO, c, "s") == dm.values[0][i, j]
+            if np.isfinite(pm.values[0][i, j]):
+                assert math.degrees(maps.relative_phase(BBO, c)) == \
+                    pm.values[0][i, j]
+                assert maps.time_delay(BBO, c, "i") == dm.values[1][i, j]
+                continue
+            nan_cells += 1
+            assert np.isnan(dm.values[1][i, j])
+            for call in (lambda: maps.relative_phase(BBO, c),
+                         lambda: maps.time_delay(BBO, c, "i"),
+                         lambda: maps.time_intervals(BBO, c, "i")):
+                with pytest.raises(KinematicsError, match="evanescent"):
+                    call()
+            maps.time_intervals(BBO, c, "s")
+    assert 0 < nan_cells < gs.nx * gs.ny
+
+
+def test_pointwise_calls_solve_no_conjugate_and_no_pump_frequency(
+        monkeypatch):
+    c = coord_at(25.0, -10.0, W_BBO)
+    calls = [(maps.relative_phase, ()), (maps.time_delay, ("s",)),
+             (maps.time_delay, ("i",)), (maps.time_intervals, ("s",)),
+             (maps.time_intervals, ("i",))]
+    seen = []
+    conjugate, omega_from_nm = phasematch.conjugate, crystal.omega_from_nm
+    monkeypatch.setattr(phasematch, "conjugate",
+                        lambda *a: seen.append("conjugate") or conjugate(*a))
+    first = [fn(BBO, c, *args) for fn, args in calls]
+    # the pump frequency is held by the source's PumpConfig once read
+    monkeypatch.setattr(crystal, "omega_from_nm",
+                        lambda *a: seen.append("omega") or omega_from_nm(*a))
+    for _ in range(3):
+        assert [fn(BBO, c, *args) for fn, args in calls] == first
+    assert seen == []

@@ -1,6 +1,7 @@
 """Pair kinematics, longitudinal mismatch, and the degenerate-ring solve."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,3 +250,18 @@ def test_degenerate_search_bracket_exposed():
     lo, hi = phasematch.DEGENERATE_SEARCH_BRACKET
     assert math.degrees(lo) == pytest.approx(0.1)
     assert math.degrees(hi) == pytest.approx(15.0)
+
+
+def test_pump_frequency_and_q_are_held_and_replace_recomputes_them():
+    pump = PumpConfig(405.0, math.radians(3.0), math.radians(40.0))
+    assert pump.omega is pump.omega
+    assert pump.transverse_q() is pump.transverse_q()
+    assert pump.omega == crystal.omega_from_nm(405.0)
+    other = replace(pump, wavelength_nm=351.1)
+    assert other.omega == crystal.omega_from_nm(351.1)
+    tilted = pump.with_tilt(math.radians(5.0), 0.0)
+    qx, qy = tilted.transverse_q()
+    assert qx == pytest.approx(pump.omega / crystal.C_NM_FS
+                               * math.sin(math.radians(5.0)), rel=1e-15)
+    assert qy == 0.0
+    assert pump == PumpConfig(405.0, math.radians(3.0), math.radians(40.0))
