@@ -11,14 +11,16 @@ plane, are what this module evaluates, pointwise and on grids.
 Grid sweeps run elementwise array kernels on blocks of whole rows and
 mark bad cells NaN; pointwise operations run the same kernels on one
 EmissionCoord's 0-d values, so relative_phase and time_delay for either
-photon reproduce the phase and both delay columns bitwise.  The transit
-calls the one copy of the refraction quadratic (vecgeom._larger_root)
-and of the ray (crystal._ray_components) on the air-side transverse
-components.  From air it always exists (_Transit), so a NaN cell has one
-cause: the partner photon is evanescent in air.  Pointwise, relative_phase
-and photon 'i' raise KinematicsError there, and first where omega_p -
-omega_s <= 0; any call raises it for a photon grazing the face (its sine
-rounding to 1).  No pointwise call raises RefractionError.
+photon reproduce the phase and both delay columns bitwise.  The kernels
+work on air-side transverse components (vecgeom._transverse) and share
+the one copy of the conservation law (phasematch._partner), of the
+refraction quadratic (vecgeom._larger_root) and of the ray
+(crystal._ray_components).  From air the transit always exists
+(_Transit), so a NaN cell has one cause: the partner photon is
+evanescent in air.  Pointwise, relative_phase and photon 'i' raise
+KinematicsError there, and first where omega_p - omega_s <= 0; any call
+raises it for a photon grazing the face (its sine rounding to 1).  No
+pointwise call raises RefractionError.
 """
 
 import math
@@ -144,27 +146,11 @@ class _Transit:
         return np.isfinite(self.n) & (self.rz > 0.0)
 
 
-def _partner(pump, w_s, sx, sy):
-    """Partner frequency and transverse components by energy and transverse
-    momentum conservation: norm >= 1 (NaN in its transit) where evanescent
-    in air, KinematicsError there for 0-d input and where w_i <= 0."""
-    w_i = pump.omega - w_s
-    if not w_i > 0.0:
-        raise KinematicsError(f"partner frequency {w_i:g} rad/fs <= 0")
-    qpx, qpy = pump.transverse_q()
-    scale = w_s / C_NM_FS
-    six = (qpx - scale * sx) * C_NM_FS / w_i
-    siy = (qpy - scale * sy) * C_NM_FS / w_i
-    if np.ndim(six) == 0 and not six * six + siy * siy < 1.0:
-        raise KinematicsError("partner photon is evanescent in air")
-    return w_i, six, siy
-
-
 def _phase_values(source, w_s, sx, sy):
     """Relative phase (radians) for arrays of signal transverse components."""
     spec2 = source.crystal2
     d2 = spec2.length_mm
-    w_i, six, siy = _partner(source.pump, w_s, sx, sy)
+    w_i, six, siy = phasematch._partner(source.pump, w_s, sx, sy)
     total = 0.0
     for w, ax, ay in ((w_s, sx, sy), (w_i, six, siy)):
         t = _Transit(spec2, w, ax, ay)
@@ -232,17 +218,18 @@ def _at(kernel, source, coord, photon="s"):
     """Pointwise evaluation of an array kernel on 0-d values: at coord
     itself for photon 's', at its partner for 'i', reached as the sweeps
     reach it.  Returns a float or a tuple of floats.  KinematicsError from
-    _partner, or where a value is not finite (a photon grazing the face)."""
+    phasematch._partner, or where a value is not finite (a photon grazing
+    the face)."""
     if photon not in ("s", "i"):
         raise ValueError(f"photon must be 's' or 'i', got {photon!r}")
     w = coord.omega
-    sx, sy = _transverse(np.float64(coord.theta), np.float64(coord.phi))
+    sx, sy = vecgeom._transverse(coord.theta, coord.phi)
     if photon == "i":
-        w, sx, sy = _partner(source.pump, w, sx, sy)
+        w, sx, sy = phasematch._partner(source.pump, w, sx, sy)
     vals = kernel(source, w, sx, sy)
     out = tuple(map(float, vals)) if isinstance(vals, tuple) else (float(vals),)
     if not all(map(math.isfinite, out)):
-        raise KinematicsError("photon grazes the face (or omega is NaN)")
+        raise KinematicsError("photon grazes the face")
     return out if isinstance(vals, tuple) else out[0]
 
 
@@ -299,10 +286,13 @@ class GridSpec:
                               key="grid")
         if self.mode not in (DETECTION_MODE, ANGULAR_MODE):
             raise ConfigError(f"unknown grid mode {self.mode!r}", key="grid.mode")
-        if (self.mode == ANGULAR_MODE
-                and max(abs(self.x_min), abs(self.x_max)) >= 90.0):
-            raise ConfigError("polar angles must stay below 90 degrees",
-                              key="grid")
+        top = max(abs(self.x_min), abs(self.x_max))
+        # the sweep's own sine: where it rounds to 1 the detected photon
+        # grazes the face
+        if self.mode == ANGULAR_MODE and not (
+                top < 90.0 and np.sin(np.deg2rad(top)) < 1.0):
+            raise ConfigError("polar angles must stay below 90 degrees, "
+                              f"with a sine below 1: got {top!r}", key="grid")
 
     def axes(self):
         return (np.linspace(self.x_min, self.x_max, self.nx),
@@ -342,21 +332,15 @@ class MapGrid:
                 and all(eq(a, b) for a, b in zip(self.values, other.values)))
 
 
-def _transverse(theta, phi):
-    """Air-side transverse direction components (arrays or 0-d values)."""
-    s = np.sin(theta)
-    return s * np.cos(phi), s * np.sin(phi)
-
-
 def _grid_transverse(source, grid_spec, xs, rows_y):
     """Transverse direction components for a block of grid rows, shape
     (len(rows_y), len(xs))."""
     xs = xs[np.newaxis, :]
     rows_y = rows_y[:, np.newaxis]
     if grid_spec.mode == DETECTION_MODE:
-        return _transverse(*vecgeom.detection_point_to_angles(
+        return vecgeom._transverse(*vecgeom.detection_point_to_angles(
             xs, rows_y, source.detection_distance_mm))
-    return _transverse(np.deg2rad(xs), np.deg2rad(rows_y))
+    return vecgeom._transverse(np.deg2rad(xs), np.deg2rad(rows_y))
 
 
 def _default_workers():
@@ -376,8 +360,8 @@ def _phase_planes(source, w_s, sx, sy):
 
 
 def _delay_planes(source, w_s, sx, sy):
-    return (_delay_values(source, w_s, sx, sy),
-            _delay_values(source, *_partner(source.pump, w_s, sx, sy)))
+    return (_delay_values(source, w_s, sx, sy), _delay_values(
+        source, *phasematch._partner(source.pump, w_s, sx, sy)))
 
 
 def _sweep(source, grid_spec, filter_center_nm, kind, value_names, kernel):

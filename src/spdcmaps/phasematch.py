@@ -1,12 +1,13 @@
 """Photon-pair kinematics for type-I collinear-pump down-conversion.
 
-Everything here works in air-side coordinates: an emission coordinate is
-(frequency, external polar angle, external azimuth), and conservation of
-transverse momentum is applied to the air-side transverse wavevector q,
-which planar interfaces preserve, so the signal-idler conjugate mapping
-needs no internal solve at all.  Only the longitudinal mismatch looks
-inside the crystal: the pump propagates on its extraordinary branch, the
-downconverted photons on the ordinary one.
+Everything here works on the air side, on a photon's transverse
+components (sx, sy) = sin theta (cos phi, sin phi) (vecgeom._transverse).
+Energy and transverse-momentum conservation, which planar interfaces
+preserve, is written once, in _partner; the maps, conjugate and the
+mismatch all call it.  Only the mismatch looks inside the crystal: the
+pump on its extraordinary branch, the photons on the ordinary one, each
+with k_z^2 = (omega/c)^2 (n^2 - s^2).  The ring solve feeds it cone
+points as components; only degenerate_coord converts one to angles.
 """
 
 import math
@@ -34,9 +35,14 @@ class EmissionCoord:
     phi: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(
+                f"omega must be finite and positive, got {self.omega!r}")
         if not 0.0 <= self.theta < 0.5 * math.pi:
             raise ValueError(
                 f"external polar angle must lie in [0, pi/2), got {self.theta!r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"azimuth phi must be finite, got {self.phi!r}")
 
     def direction(self):
         return vecgeom.direction_from_angles(self.theta, self.phi)
@@ -97,26 +103,34 @@ class PumpInternalState(NamedTuple):
     alpha: float            # angle to the optic axis, radians
 
 
-def conjugate(signal, pump):
-    """Partner coordinate under energy and transverse-momentum conservation.
-
-    omega_i = omega_p - omega_s and q_i = q_pump - q_s evaluated on the air
-    side.  Raises KinematicsError when no propagating partner exists (zero
-    or negative frequency, or evanescent |q_i| >= omega_i/c).
-    """
-    w_i = pump.omega - signal.omega
-    if w_i <= 0.0:
-        raise KinematicsError(
-            f"partner frequency {w_i:g} rad/fs is not positive")
-    qsx, qsy = signal.transverse_q()
+def _partner(pump, w_s, sx, sy):
+    """The conservation law, written once: the partner's frequency w_i =
+    w_p - w_s and air-side transverse components s_i = (q_p - q_s) c / w_i,
+    with q_s = (w_s / c) (sx, sy), for arrays or 0-d values.  |s_i| >= 1
+    (NaN in its transit) where the partner is evanescent in air;
+    KinematicsError there for 0-d input, and for any input where w_i <= 0."""
+    w_i = pump.omega - w_s
+    if not w_i > 0.0:
+        raise KinematicsError(f"partner frequency {w_i:g} rad/fs <= 0")
     qpx, qpy = pump.transverse_q()
-    qix, qiy = qpx - qsx, qpy - qsy
-    # transverse direction components of the partner's unit vector
-    six, siy = qix * C_NM_FS / w_i, qiy * C_NM_FS / w_i
+    scale = w_s / C_NM_FS
+    six = (qpx - scale * sx) * C_NM_FS / w_i
+    siy = (qpy - scale * sy) * C_NM_FS / w_i
+    if np.ndim(six) == 0:
+        s2 = six * six + siy * siy
+        if not s2 < 1.0:
+            raise KinematicsError(f"partner photon is evanescent in air: "
+                                  f"|s_i| = {math.sqrt(s2):.6f}")
+    return w_i, six, siy
+
+
+def conjugate(signal, pump):
+    """Partner coordinate: _partner of the signal's air-side components as
+    an EmissionCoord.  KinematicsError where no propagating partner exists
+    (frequency not positive, or evanescent in air)."""
+    w_i, six, siy = _partner(pump, signal.omega,
+                             *vecgeom._transverse(signal.theta, signal.phi))
     s2 = six * six + siy * siy
-    if s2 >= 1.0:
-        raise KinematicsError(
-            f"partner is evanescent in air: |q| c / omega = {math.sqrt(s2):.6f}")
     theta = math.asin(math.sqrt(s2))
     phi = math.atan2(siy, six) if s2 > 0.0 else 0.0
     return EmissionCoord(omega=w_i, theta=theta, phi=phi)
@@ -137,33 +151,27 @@ def pump_internal_state(pump, crystal_spec):
 
 
 def delta_kappa(signal, pump, crystal_spec):
-    """Longitudinal wavevector mismatch k_pz - k_sz - k_iz in 1/mm.
-
-    Internal z components are reconstructed from the conserved air-side
-    transverse wavevectors: pump extraordinary at its self-consistent
-    index, signal and idler ordinary.
-    """
-    return _mismatch(signal, pump, crystal_spec,
-                     pump_internal_state(pump, crystal_spec))
+    """Longitudinal wavevector mismatch k_pz - k_sz - k_iz in 1/mm, the
+    pump extraordinary at its self-consistent index, signal and idler
+    ordinary."""
+    return _mismatch(pump, crystal_spec,
+                     pump_internal_state(pump, crystal_spec), signal.omega,
+                     *vecgeom._transverse(signal.theta, signal.phi))
 
 
-def _mismatch(signal, pump, crystal_spec, state):
-    """delta_kappa with the pump's internal state already solved."""
-    idler = conjugate(signal, pump)
-    w_p = pump.omega
+def _mismatch(pump, spec, state, w_s, sx, sy):
+    """delta_kappa (1/mm) for the signal at frequency w_s and air-side
+    components (sx, sy), with the pump's internal state already solved: the
+    partner from _partner, k_z^2 = (omega/c)^2 (n_o^2 - s^2) for both."""
+    w_i, six, siy = _partner(pump, w_s, sx, sy)
     qpx, qpy = pump.transverse_q()
-    qsx, qsy = signal.transverse_q()
-    qix, qiy = qpx - qsx, qpy - qsy
-
-    mat = crystal_spec.material
-    n_s = crystal._indices(mat, signal.omega)[1]
-    n_i = crystal._indices(mat, idler.omega)[1]
-    kpz2 = (state.index * w_p / C_NM_FS) ** 2 - (qpx * qpx + qpy * qpy)
-    ksz2 = (n_s * signal.omega / C_NM_FS) ** 2 - (qsx * qsx + qsy * qsy)
-    kiz2 = (n_i * idler.omega / C_NM_FS) ** 2 - (qix * qix + qiy * qiy)
+    n_s = crystal._indices(spec.material, w_s)[1]
+    n_i = crystal._indices(spec.material, w_i)[1]
+    kpz2 = (state.index * pump.omega / C_NM_FS) ** 2 - (qpx * qpx + qpy * qpy)
+    ksz2 = (w_s / C_NM_FS) ** 2 * (n_s * n_s - (sx * sx + sy * sy))
+    kiz2 = (w_i / C_NM_FS) ** 2 * (n_i * n_i - (six * six + siy * siy))
     if kpz2 <= 0.0 or ksz2 <= 0.0 or kiz2 <= 0.0:
         raise KinematicsError("internal wave is evanescent inside the crystal")
-    # 1/nm -> 1/mm
     return (math.sqrt(kpz2) - math.sqrt(ksz2) - math.sqrt(kiz2)) * 1e6
 
 
@@ -179,56 +187,54 @@ def amplitude_weight(dk_per_mm, d_mm):
 # phase matching
 COLLINEAR_MISMATCH_PER_MM = 1e-9
 
-_BRACKET_LO = math.radians(0.1)
-_BRACKET_HI = math.radians(15.0)
+# the noncollinear search interval of the cone offset, radians
+DEGENERATE_SEARCH_BRACKET = (math.radians(0.1), math.radians(15.0))
 
-# public view of the noncollinear search interval, for reporting
-DEGENERATE_SEARCH_BRACKET = (_BRACKET_LO, _BRACKET_HI)
+
+def _cone_point(tilt, delta, phi):
+    """Laboratory unit vector d of the point (delta, phi) on the cone around
+    the pump (tilt: its vecgeom.tilt_rotation).  KinematicsError where d_z
+    <= 0: the point does not leave through the exit face."""
+    d = vecgeom.apply_rotation(tilt, vecgeom.direction_from_angles(delta, phi))
+    if not d[2] > 0.0:
+        theta = math.degrees(math.acos(max(-1.0, d[2])))
+        raise KinematicsError(f"cone point at polar angle {theta:.6g} deg "
+                              f"does not leave through the exit face")
+    return d
 
 
 def degenerate_coord(pump, tilt, delta, phi):
-    """Laboratory coordinate at omega_p/2 of the point (delta, phi) on the
-    cone around the pump; tilt is the pump's vecgeom.tilt_rotation.
-    Raises KinematicsError when that point does not leave through the
-    exit face (polar angle of 90 degrees or more)."""
-    d = vecgeom.apply_rotation(tilt, vecgeom.direction_from_angles(delta, phi))
-    ang = vecgeom.angles_from_direction(d)
-    if not ang.theta < 0.5 * math.pi:
-        raise KinematicsError(
-            f"cone point at polar angle {math.degrees(ang.theta):.6g} deg "
-            f"does not leave through the exit face")
+    """Laboratory coordinate at omega_p/2 of _cone_point(tilt, delta, phi)."""
+    ang = vecgeom.angles_from_direction(_cone_point(tilt, delta, phi))
     return EmissionCoord(omega=0.5 * pump.omega, theta=ang.theta, phi=ang.phi)
 
 
 def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0):
-    """External polar offset of degenerate (omega_p/2) phase matching.
-
-    The emission direction is taken on a cone around the external pump
-    direction at pump-carried azimuth phi_target; the returned angle is the
-    cone opening where the longitudinal mismatch crosses zero.  At normal
-    incidence this is simply the external polar angle of the degenerate
-    ring, independent of phi_target.  A cut matched exactly on axis
-    (collinear, |mismatch| below COLLINEAR_MISMATCH_PER_MM at zero offset)
-    reports 0.0; otherwise the noncollinear bracket [0.1 deg, 15 deg] is
-    searched to 1e-12 rad by the ITP root finder, and NoSolutionError
-    signals a bracket with no sign change, quoting the bracket in degrees
-    and the mismatch at its ends.
-    """
+    """External polar offset of degenerate (omega_p/2) phase matching: the
+    opening of the cone around the external pump direction, at cone azimuth
+    phi_target, where the mismatch crosses zero (at normal incidence, the
+    ring's polar angle at any phi_target).  0.0 for a collinear cut, whose
+    |mismatch| at zero offset is below COLLINEAR_MISMATCH_PER_MM; else ITP
+    on DEGENERATE_SEARCH_BRACKET to 1e-12 rad.  NoSolutionError for a
+    bracket without a sign change, quoting it in degrees and the mismatch
+    at its ends."""
     tilt = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p)
     state = pump_internal_state(pump, crystal_spec)
+    w_half = 0.5 * pump.omega
+    lo, hi = DEGENERATE_SEARCH_BRACKET
 
     def mismatch(delta):
-        sig = degenerate_coord(pump, tilt, delta, phi_target)
-        return _mismatch(sig, pump, crystal_spec, state)
+        d = _cone_point(tilt, delta, phi_target)
+        return _mismatch(pump, crystal_spec, state, w_half, d[0], d[1])
 
     if abs(mismatch(0.0)) < COLLINEAR_MISMATCH_PER_MM:
         return 0.0
     try:
-        return bisect_secant(mismatch, _BRACKET_LO, _BRACKET_HI, xtol=1e-12)
+        return bisect_secant(mismatch, lo, hi, xtol=1e-12)
     except NoSolutionError:
         raise NoSolutionError(
             f"no degenerate phase matching on the cone bracket "
-            f"[{math.degrees(_BRACKET_LO):g}, {math.degrees(_BRACKET_HI):g}]"
-            f" deg at cone azimuth {math.degrees(phi_target):g} deg: the "
-            f"mismatch keeps its sign ({mismatch(_BRACKET_LO):.6g} and "
-            f"{mismatch(_BRACKET_HI):.6g} /mm at the ends)") from None
+            f"[{math.degrees(lo):g}, {math.degrees(hi):g}] deg at cone "
+            f"azimuth {math.degrees(phi_target):g} deg: the "
+            f"mismatch keeps its sign ({mismatch(lo):.6g} and "
+            f"{mismatch(hi):.6g} /mm at the ends)") from None

@@ -15,6 +15,9 @@ Angles are radians throughout.  Scalar inputs raise on failure (total
 internal reflection); batched inputs mark the offending rows NaN and keep
 going, which is what the grid sweeps want.
 
+_transverse gives a direction's air-side transverse components, on which
+the maps and the solvers apply conservation (phasematch._partner).
+
 The extraordinary refraction's quadratic is written once, in _larger_root:
 refract_into_extraordinary feeds it stacked vectors through _forward_root,
 which masks total internal reflection, and the map sweeps' transit
@@ -55,12 +58,18 @@ def norm3(v):
     return np.sqrt(dot3(v, v))
 
 
+def _transverse(theta, phi):
+    """(sin t cos p, sin t sin p), the transverse components of the
+    direction (theta, phi): arrays or 0-d values."""
+    s = np.sin(theta)
+    return s * np.cos(phi), s * np.sin(phi)
+
+
 def direction_from_angles(theta, phi):
     """Unit vector (sin t cos p, sin t sin p, cos t); broadcasts over arrays."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    st = np.sin(theta)
-    parts = (st * np.cos(phi), st * np.sin(phi), np.cos(theta))
+    parts = (*_transverse(theta, phi), np.cos(theta))
     if theta.ndim == 0 and phi.ndim == 0:
         return np.array(parts)
     return np.stack(np.broadcast_arrays(*parts), axis=-1)

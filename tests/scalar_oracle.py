@@ -87,3 +87,28 @@ def horizontal_phase_deg(material, length_mm, axis_polar_deg, pump_nm,
         term = n * math.cos(rho) + ray_x * sx
         total += (w * length_mm * 1e6 / (C_NM_FS * ray_z)) * term
     return math.degrees(total) + offset_deg
+
+
+def mismatch_per_mm(material, axis_polar_deg, pump_nm, theta_s_deg,
+                    signal_frac):
+    """Longitudinal mismatch k_pz - k_sz - k_iz (1/mm), normal-incidence pump.
+
+    The pump runs along the face normal at the extraordinary index of the
+    cut, n_e(alpha = axis_polar_deg).  The signal (omega_s = signal_frac
+    omega_p) leaves at external polar angle theta_s; transverse-momentum
+    balance puts the idler at sine omega_s sin(theta_s) / omega_i on the
+    opposite side, whatever the azimuth.  Both are ordinary, so each has
+    k_z = (omega/c) sqrt(n_o^2 - sin^2).
+    """
+    sets = _SETS[material]
+    w_p = 2.0 * math.pi * C_NM_FS / pump_nm
+    w_s = signal_frac * w_p
+    w_i = w_p - w_s
+    sin_s = math.sin(math.radians(theta_s_deg))
+    sin_i = w_s * sin_s / w_i
+    n_p = _n_e_alpha(pump_nm, sets, math.cos(math.radians(axis_polar_deg)))
+    k_z = n_p * w_p / C_NM_FS
+    for w, sin in ((w_s, sin_s), (w_i, sin_i)):
+        n_o = _index(2.0 * math.pi * C_NM_FS / w, sets[0])
+        k_z -= (w / C_NM_FS) * math.sqrt(n_o * n_o - sin * sin)
+    return k_z * 1e6

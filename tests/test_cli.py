@@ -823,3 +823,19 @@ def test_caps_admit_their_bounds(bbo_cfg):
     flat.update({"tilt.n_samples": 10000, "grid.nx": 4096, "grid.ny": 4096})
     rc = config.build_run_config(flat)
     assert rc.tilt_samples == 10000 and rc.grid.nx * rc.grid.ny == 2 ** 24
+
+
+def test_cli_grid_whose_polar_sine_rounds_to_one_is_a_config_error(
+        tmp_path, capsys):
+    out = tmp_path / "graze.csv"
+    argv = ["phase-map", "--config", _shipped("bbo_normal.yaml"),
+            "--grid", "1x1", "--set", "grid.mode=angular_theta_phi",
+            "--set", "grid.x_min=89.99999999",
+            "--set", "grid.x_max=89.99999999",
+            "--set", "grid.y_min=0", "--set", "grid.y_max=0",
+            "--filter-nm", "900", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: grid: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

@@ -636,3 +636,37 @@ def test_pointwise_calls_solve_no_conjugate_and_no_pump_frequency(
     for _ in range(3):
         assert [fn(BBO, c, *args) for fn, args in calls] == first
     assert seen == []
+
+
+def test_each_operation_applies_the_conservation_law_once(monkeypatch):
+    calls = []
+    partner = phasematch._partner
+    monkeypatch.setattr(phasematch, "_partner",
+                        lambda *a: calls.append(a) or partner(*a))
+    sig = coord_at(25.0, -10.0, W_BBO)
+    one_block = maps.GridSpec(16, 16, -30.0, 30.0, -30.0, 30.0)
+    for name, op in (
+            ("conjugate", lambda: phasematch.conjugate(sig, BBO.pump)),
+            ("delta_kappa",
+             lambda: phasematch.delta_kappa(sig, BBO.pump, BBO.crystal1)),
+            ("relative_phase", lambda: maps.relative_phase(BBO, sig)),
+            ("phase sweep", lambda: maps.sweep_phase_map(BBO, one_block)),
+            ("delay sweep", lambda: maps.sweep_delay_map(BBO, one_block))):
+        calls.clear()
+        op()
+        assert len(calls) == 1, name
+
+
+@pytest.mark.parametrize("x_min, x_max", [
+    (0.0, 89.99999999), (-89.9999999, 10.0)])
+def test_grid_spec_rejects_a_polar_sine_that_rounds_to_one(x_min, x_max):
+    top = max(abs(x_min), abs(x_max))
+    assert top < 90.0 and np.sin(np.deg2rad(top)) == 1.0
+    with pytest.raises(ConfigError, match="sine") as exc:
+        maps.GridSpec(3, 3, x_min, x_max, -10.0, 10.0, mode=maps.ANGULAR_MODE)
+    assert exc.value.key == "grid"
+    # the next angle down keeps a sine below 1, and the same window in mm
+    # on the detection plane is no angle at all
+    assert np.sin(np.deg2rad(89.999999)) < 1.0
+    maps.GridSpec(3, 3, 0.0, 89.999999, -10.0, 10.0, mode=maps.ANGULAR_MODE)
+    maps.GridSpec(3, 3, x_min, x_max, -10.0, 10.0)

@@ -5,11 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spdcmaps import crystal, phasematch, vecgeom
+from spdcmaps import compensation, crystal, maps, phasematch, vecgeom
 from spdcmaps.errors import KinematicsError, NoSolutionError
 from spdcmaps.phasematch import EmissionCoord, PumpConfig
 from spdcmaps.solvers import bisect_secant
+
+import scalar_oracle
 
 BBO = crystal.get_material("BBO")
 LIIO3 = crystal.get_material("LiIO3")
@@ -265,3 +269,55 @@ def test_pump_frequency_and_q_are_held_and_replace_recomputes_them():
                                * math.sin(math.radians(5.0)), rel=1e-15)
     assert qy == 0.0
     assert pump == PumpConfig(405.0, math.radians(3.0), math.radians(40.0))
+
+
+# ------------------------------------------------------- one law, checked
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("omega", {"omega": 0.0}),
+    ("omega", {"omega": -1.0}),
+    ("omega", {"omega": math.nan}),
+    ("omega", {"omega": math.inf}),
+    ("phi", {"phi": math.nan}),
+    ("phi", {"phi": math.inf}),
+], ids=["omega-0", "omega-neg", "omega-nan", "omega-inf", "phi-nan",
+        "phi-inf"])
+def test_emission_coord_rejects_bad_omega_and_phi(field, kwargs):
+    args = {"omega": 2.0, "theta": 0.05, "phi": 0.0, **kwargs}
+    with pytest.raises(ValueError, match=field):
+        EmissionCoord(**args)
+
+
+def test_ring_solve_converts_no_angles_and_the_target_one(monkeypatch):
+    calls = []
+    angles = vecgeom.angles_from_direction
+    monkeypatch.setattr(vecgeom, "angles_from_direction",
+                        lambda v: calls.append(v) or angles(v))
+    tilted = PumpConfig(405.0, math.radians(7.0), math.radians(90.0))
+    for spec, pump in ((BBO_SPEC, PUMP_405), (LIIO3_SPEC, PUMP_351),
+                       (BBO_SPEC, tilted)):
+        phasematch.degenerate_emission_angle(spec, pump, math.radians(30.0))
+    assert calls == []
+    source = maps.SourceConfig(
+        BBO_SPEC, BBO_SPEC.with_axis(BBO_SPEC.axis_theta, 0.5 * math.pi),
+        PUMP_405)
+    coord, delta = compensation.tracked_target(source)
+    assert len(calls) == 1
+    assert math.degrees(delta) == pytest.approx(3.217150150351431, abs=1e-6)
+    assert coord.theta == pytest.approx(delta, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([("bbo", BBO_SPEC, PUMP_405),
+                             ("liio3", LIIO3_SPEC, PUMP_351)]),
+       theta_deg=st.floats(0.0, 10.0),
+       phi=st.floats(-4.0 * math.pi, 4.0 * math.pi),
+       frac=st.floats(0.45, 0.55))
+def test_mismatch_matches_the_scalar_oracle(case, theta_deg, phi, frac):
+    name, spec, pump = case
+    signal = EmissionCoord(frac * pump.omega, math.radians(theta_deg), phi)
+    got = phasematch.delta_kappa(signal, pump, spec)
+    want = scalar_oracle.mismatch_per_mm(
+        name, math.degrees(spec.axis_theta), pump.wavelength_nm, theta_deg,
+        frac)
+    assert abs(got - want) <= 1e-9
