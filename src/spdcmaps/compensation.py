@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import phasematch, vecgeom
+from . import crystal, phasematch, vecgeom
 from .errors import ConfigError, NoSolutionError, SpdcError
 from .maps import time_delay
 from .solvers import bisect_secant
@@ -55,7 +55,8 @@ def constrained_pump_state(pump, source):
     crystals = []
     for spec, (ax_theta, ax_phi) in ((source.crystal1, base[0]),
                                      (source.crystal2, base[1])):
-        n_cut = spec.material.index_e(pump.wavelength_nm, math.cos(ax_theta))
+        _, n_o, n_ep = crystal._indices(spec.material, pump.omega)
+        n_cut = crystal._section_index(n_o, n_ep, math.cos(ax_theta))
         theta_int = math.asin(math.sin(theta_p) / n_cut)
         rot = vecgeom.tilt_rotation(theta_int, phi_p)
         axis = vecgeom.apply_rotation(

@@ -12,11 +12,11 @@ Unit conventions, used across the whole package:
 A transit time in fs over a length d in mm is d * 1e6 * n_g / c.
 
 Index functions accept scalars or ndarrays.  A scalar wavelength outside a
-material's validity window raises RangeError; array input gets NaN in the
-offending slots instead so grid sweeps can mark cells invalid and carry on.
-group_index, walkoff_angle, walkoff_ray and the extraordinary refraction
-take one scalar omega, whose two principal indices are evaluated once per
-(material, omega) and memoised: a map needs only a few frequencies.
+material's validity window raises RangeError, array input gets NaN in the
+offending slots.  group_index, walkoff_angle, walkoff_ray and the
+extraordinary refraction take one scalar omega, whose two principal
+indices are memoised per (material, omega): a map needs only a few
+frequencies, and a sweep outside the window raises RangeError too.
 
 The index-surface normal is written once, on components, in
 _ray_components: the map sweeps' transit calls it directly, walkoff_ray

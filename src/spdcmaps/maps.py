@@ -13,14 +13,13 @@ mark bad cells NaN; pointwise operations run the same kernels on one
 EmissionCoord's 0-d values, so relative_phase and time_delay for either
 photon reproduce the phase and both delay columns bitwise.  The kernels
 work on air-side transverse components (vecgeom._transverse) and share
-the one copy of the conservation law (phasematch._partner), of the
-refraction quadratic (vecgeom._larger_root) and of the ray
-(crystal._ray_components).  From air the transit always exists
-(_Transit), so a NaN cell has one cause: the partner photon is
-evanescent in air.  Pointwise, relative_phase and photon 'i' raise
-KinematicsError there, and first where omega_p - omega_s <= 0; any call
-raises it for a photon grazing the face (its sine rounding to 1).  No
-pointwise call raises RefractionError.
+the one copy of the conservation law (phasematch._partner) and of the
+entry from air (vecgeom._Transit), which always exists, so a NaN cell
+has one cause: the partner photon is evanescent in air.  Pointwise,
+relative_phase and photon 'i' raise KinematicsError there, and first
+where omega_p - omega_s <= 0; any call raises it for a photon grazing
+the face (its sine rounding to 1).  No pointwise call raises
+RefractionError.
 """
 
 import math
@@ -32,6 +31,7 @@ import numpy as np
 from . import crystal, phasematch, vecgeom
 from .crystal import C_NM_FS
 from .errors import ConfigError, FitError, KinematicsError
+from .vecgeom import _Transit
 
 DETECTION_MODE = "detection_plane_xy"
 ANGULAR_MODE = "angular_theta_phi"
@@ -113,38 +113,6 @@ def source_snapshot(source):
 
 
 # ------------------------------------------------------------ array kernels
-
-class _Transit:
-    """Extraordinary transit of one photon species through crystal 2 for
-    arrays or 0-d values of air-side transverse components (sx, sy).
-
-    Entry from air through the z face keeps t = (sx, sy, 0); t2 = s^2 >= 1
-    (no wave in air) is NaN.  Else the bare larger root is the transit:
-    F(k) = |k|^2/n_e^2 + (1/n_o^2 - 1/n_e^2) (k.a)^2 = 1 is quadratic in
-    k_z with constant term F(t) - 1 <= t2/min(n_o, n_e)^2 - 1 < 0, since
-    t2 < 1 < n^2, so exactly one root is positive.  There dF/dk_z =
-    2 sqrt(disc) > 0 is twice the z component of the ray g: rz > 0.
-    """
-
-    __slots__ = ("n", "ca_k", "ca_ray", "cos_rho", "rx", "ry", "rz")
-
-    def __init__(self, spec, omega, sx, sy):
-        ax, ay, az = spec._axis
-        _, n_o, n_ep = crystal._indices(spec.material, omega)
-        t2 = sx * sx + sy * sy
-        t2 = np.where(t2 < 1.0, t2, np.nan)
-        kz, _ = vecgeom._larger_root(sx * ax + sy * ay, az, t2, n_o, n_ep)
-        n = np.sqrt(t2 + kz * kz)
-        self.n = n
-        (self.rx, self.ry, self.rz, self.cos_rho, self.ca_ray,
-         self.ca_k) = crystal._ray_components(sx / n, sy / n, kz / n,
-                                              spec, omega)
-
-    @property
-    def valid(self):
-        """Finite with a forward ray; by the argument above, where t2 < 1."""
-        return np.isfinite(self.n) & (self.rz > 0.0)
-
 
 def _phase_values(source, w_s, sx, sy):
     """Relative phase (radians) for arrays of signal transverse components."""
@@ -286,6 +254,10 @@ class GridSpec:
                               key="grid")
         if self.mode not in (DETECTION_MODE, ANGULAR_MODE):
             raise ConfigError(f"unknown grid mode {self.mode!r}", key="grid.mode")
+        spans = (self.x_max - self.x_min, self.y_max - self.y_min)
+        if not all(map(math.isfinite, spans)):  # linspace steps by them
+            raise ConfigError(f"grid spans must be finite, got {spans}",
+                              key="grid")
         top = max(abs(self.x_min), abs(self.x_max))
         # the sweep's own sine: where it rounds to 1 the detected photon
         # grazes the face

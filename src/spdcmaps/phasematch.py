@@ -4,10 +4,10 @@ Everything here works on the air side, on a photon's transverse
 components (sx, sy) = sin theta (cos phi, sin phi) (vecgeom._transverse).
 Energy and transverse-momentum conservation, which planar interfaces
 preserve, is written once, in _partner; the maps, conjugate and the
-mismatch all call it.  Only the mismatch looks inside the crystal: the
-pump on its extraordinary branch, the photons on the ordinary one, each
-with k_z^2 = (omega/c)^2 (n^2 - s^2).  The ring solve feeds it cone
-points as components; only degenerate_coord converts one to angles.
+mismatch all call it.  The pump enters its extraordinary branch through
+the photons' transit (vecgeom._Transit); the mismatch takes it and the
+ordinary photons with k_z^2 = (omega/c)^2 (n^2 - s^2), and the ring
+solve feeds it cone points: only degenerate_coord converts to angles.
 """
 
 import math
@@ -21,9 +21,6 @@ from . import crystal, vecgeom
 from .crystal import C_NM_FS
 from .errors import KinematicsError, NoSolutionError
 from .solvers import bisect_secant
-
-Z_NORMAL = np.array([0.0, 0.0, 1.0])
-
 
 @dataclass(frozen=True)
 class EmissionCoord:
@@ -72,9 +69,6 @@ class PumpConfig:
     @cached_property
     def omega(self):
         return crystal.omega_from_nm(self.wavelength_nm)
-
-    def direction(self):
-        return vecgeom.direction_from_angles(self.theta_p, self.phi_p)
 
     @cached_property
     def _q(self):
@@ -137,17 +131,14 @@ def conjugate(signal, pump):
 
 
 def pump_internal_state(pump, crystal_spec):
-    """Refract the pump into its extraordinary branch inside one crystal.
-
-    Returns the internal unit wavevector, the self-consistent index, and
-    the angle between wavevector and optic axis.  RefractionError
-    propagates if the tilt is beyond the critical angle.
-    """
-    K, n = vecgeom.refract_into_extraordinary(
-        pump.direction(), Z_NORMAL, 1.0, pump.omega, crystal_spec)
-    ca = float(vecgeom.dot3(K, crystal_spec.axis_direction()))
-    alpha = math.acos(min(1.0, max(-1.0, ca)))
-    return PumpInternalState(wavevector=K, index=n, alpha=alpha)
+    """The pump refracted into its extraordinary branch in one crystal
+    through the photons' entry from air, vecgeom._Transit: the internal
+    unit wavevector, the self-consistent index, and the angle to the axis."""
+    sx, sy = vecgeom._transverse(pump.theta_p, pump.phi_p)
+    t = vecgeom._Transit(crystal_spec, pump.omega, sx, sy)
+    alpha = math.acos(min(1.0, max(-1.0, t.ca_k)))
+    return PumpInternalState(wavevector=np.array((sx, sy, t.kz)) / t.n,
+                             index=float(t.n), alpha=alpha)
 
 
 def delta_kappa(signal, pump, crystal_spec):
@@ -162,7 +153,8 @@ def delta_kappa(signal, pump, crystal_spec):
 def _mismatch(pump, spec, state, w_s, sx, sy):
     """delta_kappa (1/mm) for the signal at frequency w_s and air-side
     components (sx, sy), with the pump's internal state already solved: the
-    partner from _partner, k_z^2 = (omega/c)^2 (n_o^2 - s^2) for both."""
+    partner from _partner, k_z^2 = (omega/c)^2 (n_o^2 - s^2) for both.
+    Each k_z^2 > 0, as n > 1 > s^2 (for s_i, _partner raises otherwise)."""
     w_i, six, siy = _partner(pump, w_s, sx, sy)
     qpx, qpy = pump.transverse_q()
     n_s = crystal._indices(spec.material, w_s)[1]
@@ -170,8 +162,6 @@ def _mismatch(pump, spec, state, w_s, sx, sy):
     kpz2 = (state.index * pump.omega / C_NM_FS) ** 2 - (qpx * qpx + qpy * qpy)
     ksz2 = (w_s / C_NM_FS) ** 2 * (n_s * n_s - (sx * sx + sy * sy))
     kiz2 = (w_i / C_NM_FS) ** 2 * (n_i * n_i - (six * six + siy * siy))
-    if kpz2 <= 0.0 or ksz2 <= 0.0 or kiz2 <= 0.0:
-        raise KinematicsError("internal wave is evanescent inside the crystal")
     return (math.sqrt(kpz2) - math.sqrt(ksz2) - math.sqrt(kiz2)) * 1e6
 
 

@@ -13,15 +13,17 @@ single vector still equals the matching row of a batch bitwise.
 
 Angles are radians throughout.  Scalar inputs raise on failure (total
 internal reflection); batched inputs mark the offending rows NaN and keep
-going, which is what the grid sweeps want.
+going.
 
 _transverse gives a direction's air-side transverse components, on which
 the maps and the solvers apply conservation (phasematch._partner).
 
-The extraordinary refraction's quadratic is written once, in _larger_root:
-refract_into_extraordinary feeds it stacked vectors through _forward_root,
-which masks total internal reflection, and the map sweeps' transit
-(maps._Transit) the air-side components at the z face, where none occurs.
+The extraordinary refraction's quadratic is written once, in _larger_root.
+_Transit runs it on air-side components for a wave entering from air
+through the z face, where no total internal reflection occurs: the maps'
+photons and the pump (phasematch.pump_internal_state).  The tests'
+reference, refract_into_extraordinary, feeds it stacked vectors at any
+normal through _forward_root, which masks total internal reflection.
 """
 
 import math
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crystal import _indices
+from .crystal import _indices, _ray_components
 from .errors import RefractionError
 
 __all__ = [
@@ -191,6 +193,37 @@ def _larger_root(p, q, t2, n_o, n_ep):
     # so use the equal product form -c / (hb + root) there
     far = hb > 0.0
     return np.where(far, -c, root - hb) / np.where(far, hb + root, qa), disc
+
+
+class _Transit:
+    """Extraordinary transit of a wave entering a crystal from air through
+    its z face (a photon into crystal 2, the pump into either), for arrays
+    or 0-d values of its air-side transverse components (sx, sy).
+
+    Entry from air through the z face keeps t = (sx, sy, 0); t2 = s^2 >= 1
+    (no wave in air) is NaN.  Else the bare larger root is the transit:
+    F(k) = |k|^2/n_e^2 + (1/n_o^2 - 1/n_e^2) (k.a)^2 = 1 is quadratic in
+    k_z with constant term F(t) - 1 <= t2/min(n_o, n_e)^2 - 1 < 0, since
+    t2 < 1 < n^2, so exactly one root is positive.  There dF/dk_z =
+    2 sqrt(disc) > 0 is twice the z component of the ray g: rz > 0.
+    """
+
+    __slots__ = ("n", "kz", "ca_k", "ca_ray", "cos_rho", "rx", "ry", "rz")
+
+    def __init__(self, spec, omega, sx, sy):
+        ax, ay, az = spec._axis
+        _, n_o, n_ep = _indices(spec.material, omega)
+        t2 = sx * sx + sy * sy
+        t2 = np.where(t2 < 1.0, t2, np.nan)
+        kz = self.kz = _larger_root(sx * ax + sy * ay, az, t2, n_o, n_ep)[0]
+        n = self.n = np.sqrt(t2 + kz * kz)
+        (self.rx, self.ry, self.rz, self.cos_rho, self.ca_ray,
+         self.ca_k) = _ray_components(sx / n, sy / n, kz / n, spec, omega)
+
+    @property
+    def valid(self):
+        """Finite with a forward ray; by the argument above, where t2 < 1."""
+        return np.isfinite(self.n) & (self.rz > 0.0)
 
 
 def _forward_root(p, q, t2, n_o, n_ep):

@@ -825,6 +825,23 @@ def test_caps_admit_their_bounds(bbo_cfg):
     assert rc.tilt_samples == 10000 and rc.grid.nx * rc.grid.ny == 2 ** 24
 
 
+@pytest.mark.parametrize("window", [
+    ["--set", "grid.x_min=-1e308", "--set", "grid.x_max=1e308"],
+    ["--set", "grid.mode=angular_theta_phi", "--set", "grid.x_min=0",
+     "--set", "grid.x_max=5", "--set", "grid.y_min=-1e308",
+     "--set", "grid.y_max=1e308"]], ids=["detection", "angular"])
+def test_cli_grid_whose_span_overflows_is_a_config_error(tmp_path, capsys,
+                                                        window):
+    out = tmp_path / "wide.csv"
+    argv = ["phase-map", "--config", _shipped("bbo_normal.yaml"),
+            "--grid", "5x5", *window, "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: grid: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_grid_whose_polar_sine_rounds_to_one_is_a_config_error(
         tmp_path, capsys):
     out = tmp_path / "graze.csv"

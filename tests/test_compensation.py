@@ -1,12 +1,13 @@
 """Constrained pump tilts and the self-compensation search."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spdcmaps import compensation, crystal, maps, phasematch
+from spdcmaps import compensation, config, crystal, maps, phasematch
 from spdcmaps.compensation import DELAY_TOLERANCE_FS
 from spdcmaps.errors import ConfigError, KinematicsError, NoSolutionError
 from spdcmaps.phasematch import EmissionCoord, PumpConfig
@@ -85,6 +86,26 @@ def test_constraint_rejects_grazing_tilt():
         with pytest.raises(ConfigError):
             compensation.constrained_pump_state(
                 BBO_SRC.pump.with_tilt(th, PHI), BBO_SRC)
+
+
+def test_tilt_search_reads_the_dispersion_memo(monkeypatch):
+    # every tilt refracts the same pump frequency into the same materials,
+    # so once one sample has run the search evaluates no Sellmeier fit
+    rc = config.build_run_config(config.load_config_file(os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "configs", "bbo_tilt52.yaml")))
+    compensation.tilt_delay(rc.source, rc.tilt_range[0], rc.tilt_phi_p)
+    fits = []
+    index = crystal.SellmeierFit.index
+
+    def counted(self, lam_nm):
+        fits.append(lam_nm)
+        return index(self, lam_nm)
+    monkeypatch.setattr(crystal.SellmeierFit, "index", counted)
+    compensation.find_self_compensating_tilt(
+        rc.source, rc.tilt_phi_p, theta_range=rc.tilt_range,
+        n_samples=rc.tilt_samples)
+    assert fits == []
 
 
 # ---------------------------------------------------------- target logic

@@ -670,3 +670,17 @@ def test_grid_spec_rejects_a_polar_sine_that_rounds_to_one(x_min, x_max):
     assert np.sin(np.deg2rad(89.999999)) < 1.0
     maps.GridSpec(3, 3, 0.0, 89.999999, -10.0, 10.0, mode=maps.ANGULAR_MODE)
     maps.GridSpec(3, 3, x_min, x_max, -10.0, 10.0)
+
+
+@pytest.mark.parametrize("window, mode", [
+    ((-1e308, 1e308, -60.0, 60.0), maps.DETECTION_MODE),
+    ((-60.0, 60.0, -1e308, 1e308), maps.DETECTION_MODE),
+    ((0.0, 5.0, -1e308, 1e308), maps.ANGULAR_MODE)])
+def test_grid_spec_rejects_a_window_whose_span_overflows(window, mode):
+    # each bound is finite, their difference is not: linspace would
+    # spread NaN and inf over the axis
+    with pytest.raises(ConfigError, match="span") as exc:
+        maps.GridSpec(5, 5, *window, mode=mode)
+    assert exc.value.key == "grid"
+    # half the bounds span at most 1e308, which is finite
+    maps.GridSpec(5, 5, *(0.5 * b for b in window), mode=mode)

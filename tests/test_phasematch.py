@@ -113,6 +113,28 @@ def test_pump_internal_tilt_is_compressed():
     assert internal == pytest.approx(approx, abs=1e-6)
 
 
+@pytest.mark.parametrize("mat, cut, nm", [("BBO", 29.3, 405.0),
+                                          ("LiIO3", 51.95, 351.1)])
+@pytest.mark.parametrize("phi_a", [0.0, 37.0, 90.0])
+def test_pump_enters_through_the_photons_transit(mat, cut, nm, phi_a):
+    # the stacked vector refraction at the z normal is the reference: the
+    # component transit must reproduce it bitwise (up to the sign of zero)
+    spec = crystal.CrystalSpec(crystal.get_material(mat), 1.0,
+                               math.radians(cut), math.radians(phi_a))
+    Z = np.array([0.0, 0.0, 1.0])
+    for tilt in (0.0, 7.0, -30.0, 52.0, 85.0, 89.9):
+        for phi_p in (0.0, 90.0, 217.0):
+            pump = PumpConfig(nm, math.radians(tilt), math.radians(phi_p))
+            K, n = vecgeom.refract_into_extraordinary(
+                vecgeom.direction_from_angles(pump.theta_p, pump.phi_p), Z,
+                1.0, pump.omega, spec)
+            ca = float(vecgeom.dot3(K, spec.axis_direction()))
+            state = phasematch.pump_internal_state(pump, spec)
+            assert state.index == n, (tilt, phi_p)
+            assert state.alpha == math.acos(min(1.0, max(-1.0, ca)))
+            assert np.array_equal(state.wavevector, K), (tilt, phi_p)
+
+
 # -------------------------------------------------------------- mismatch
 
 def test_mismatch_zero_at_solved_ring_and_grows_away():
