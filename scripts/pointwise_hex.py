@@ -1,0 +1,66 @@
+"""Print the exact bits of the pointwise calls at fixed coordinates.
+
+For each shipped source (the 52 deg tilt with its crystal axes co-rotated
+by compensation.constrained_pump_state) and about ten fixed air-side
+coordinates, print float.hex() of relative_phase, time_delay for both
+photons and time_intervals, or the name of the error a call raises.
+Two checkouts agree bitwise at these coordinates when their outputs are
+identical:
+
+    PYTHONPATH=src python scripts/pointwise_hex.py > pointwise.txt
+"""
+
+import math
+from pathlib import Path
+
+from spdcmaps import EmissionCoord, compensation, config, maps
+from spdcmaps.errors import SpdcError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# (theta, phi) in degrees, then the signal's share of the pump frequency
+# where it is not one half.  The last row of each list has a partner
+# evanescent in air.
+NORMAL_CELLS = [(0.0, 0.0), (0.5, 30.0), (1.0, -45.0), (2.0, 90.0),
+                (2.6, 180.0), (3.0, 0.0), (3.2, 137.0), (4.0, -100.0),
+                (2.9, 0.0, 0.55), (60.0, 10.0, 0.58)]
+TILTED_CELLS = [(50.0, 60.0), (50.0, 90.0), (45.0, 75.0), (55.0, 105.0),
+                (60.0, 60.0), (62.5, 82.0), (70.0, 90.0), (40.0, 80.0),
+                (65.0, 120.0), (30.0, 30.0)]
+
+
+def _source(name):
+    rc = config.build_run_config(config.load_config_file(CONFIGS / name))
+    src = rc.source
+    if src.pump.theta_p != 0.0:
+        src = compensation.constrained_pump_state(src.pump, src)
+    return src
+
+
+def _bits(fn, *args):
+    try:
+        out = fn(*args)
+    except SpdcError as exc:  # the error's name is the pinned output
+        return type(exc).__name__
+    return " ".join(v.hex() for v in (out if isinstance(out, tuple)
+                                      else (out,)))
+
+
+def main():
+    for name, cells in (("liio3_normal.yaml", NORMAL_CELLS),
+                        ("bbo_normal.yaml", NORMAL_CELLS),
+                        ("bbo_tilt52.yaml", TILTED_CELLS)):
+        src = _source(name)
+        for theta, phi, *share in cells:
+            omega = (share[0] if share else 0.5) * src.pump.omega
+            c = EmissionCoord(omega, math.radians(theta), math.radians(phi))
+            print(f"{name} theta={theta} phi={phi} omega={omega.hex()}")
+            print("  phase", _bits(maps.relative_phase, src, c))
+            for photon in ("s", "i"):
+                print(f"  delay_{photon}",
+                      _bits(maps.time_delay, src, c, photon))
+            print("  intervals", _bits(maps.time_intervals, src, c))
+
+
+if __name__ == "__main__":
+    main()

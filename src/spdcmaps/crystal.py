@@ -110,7 +110,7 @@ class Material:
 
 def _section_index(n_o, n_ep, cos_alpha):
     """Index-ellipsoid section at axis cosine cos_alpha."""
-    ca2 = np.asarray(cos_alpha) * np.asarray(cos_alpha)
+    ca2 = cos_alpha * cos_alpha
     return 1.0 / np.sqrt(ca2 / (n_o * n_o) + (1.0 - ca2) / (n_ep * n_ep))
 
 
@@ -210,7 +210,7 @@ def group_index(material, omega, polarization="o", cos_alpha=None):
     if cos_alpha is None:
         return nn_ep - lam * _fit_slope(material.extraordinary, lam, nn_ep)
     n = _section_index(nn_o, nn_ep, cos_alpha)
-    ca2 = np.asarray(cos_alpha) * np.asarray(cos_alpha)
+    ca2 = cos_alpha * cos_alpha
     slope = (n * n * n) * (
         ca2 * _fit_slope(material.ordinary, lam, nn_o) / (nn_o * nn_o * nn_o)
         + (1.0 - ca2) * _fit_slope(material.extraordinary, lam, nn_ep)
@@ -227,8 +227,8 @@ def walkoff_angle(material, omega, cos_alpha):
     evaluated once per (material, omega).
     """
     _, nn_o, nn_e = _indices(material, omega)
-    n = _section_index(nn_o, nn_e, cos_alpha)
     ca = np.asarray(cos_alpha, dtype=float)
+    n = _section_index(nn_o, nn_e, ca)
     sin2a = 2.0 * ca * np.sqrt(np.maximum(1.0 - ca * ca, 0.0))
     return np.arctan(
         0.5 * n * n * (1.0 / (nn_e * nn_e) - 1.0 / (nn_o * nn_o)) * sin2a)
@@ -276,6 +276,10 @@ def _ray_components(kx, ky, kz, crystal_spec, omega):
 
 _AXIS_EPS = 1e-15
 
+# far beyond any real plate, and far below the lengths (near 1e300 mm) at
+# which the map kernels' transit phases overflow
+MAX_LENGTH_MM = 1000.0
+
 
 @dataclass(frozen=True)
 class CrystalSpec:
@@ -290,6 +294,10 @@ class CrystalSpec:
     def __post_init__(self):
         if self.length_mm <= 0:
             raise ConfigError("crystal length must be positive", key="length_mm")
+        if self.length_mm > MAX_LENGTH_MM:
+            raise ConfigError(f"crystal length {self.length_mm!r} mm exceeds "
+                              f"the cap of {MAX_LENGTH_MM:g} mm",
+                              key="length_mm")
 
     @cached_property
     def _axis(self):

@@ -11,7 +11,9 @@ plane, are what this module evaluates, pointwise and on grids.
 Grid sweeps run elementwise array kernels on blocks of whole rows and
 mark bad cells NaN; pointwise operations run the same kernels on one
 EmissionCoord's 0-d values, so relative_phase and time_delay for either
-photon reproduce the phase and both delay columns bitwise.  The kernels
+photon reproduce the phase and both delay columns bitwise.  On 0-d values
+the kernels' selections cost nothing beyond a plain if (vecgeom._select
+and _clamp0), so a pointwise call runs at numpy-scalar cost.  The kernels
 work on air-side transverse components (vecgeom._transverse) and share
 the one copy of the conservation law (phasematch._partner) and of the
 entry from air (vecgeom._Transit), which always exists, so a NaN cell

@@ -110,7 +110,7 @@ def _partner(pump, w_s, sx, sy):
     scale = w_s / C_NM_FS
     six = (qpx - scale * sx) * C_NM_FS / w_i
     siy = (qpy - scale * sy) * C_NM_FS / w_i
-    if np.ndim(six) == 0:
+    if not isinstance(six, np.ndarray):
         s2 = six * six + siy * siy
         if not s2 < 1.0:
             raise KinematicsError(f"partner photon is evanescent in air: "

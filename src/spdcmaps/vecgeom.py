@@ -10,6 +10,10 @@ Each component expression is written once: a single vector packs its
 0-d components with np.array, a batch broadcasts and stacks them, so the
 solvers, which move one vector at a time, skip the batch packing and a
 single vector still equals the matching row of a batch bitwise.
+Selections go through _select and the root's clamp through _clamp0, the
+only places that tell 0-d input from arrays: numpy's array calls on an
+array, a plain if on a 0-d value, so a 0-d value costs what a numpy
+scalar does and never becomes a 0-d array.
 
 Angles are radians throughout.  Scalar inputs raise on failure (total
 internal reflection); batched inputs mark the offending rows NaN and keep
@@ -177,6 +181,21 @@ def refract_ordinary(k_in, normal, n_in, n_out):
     return out[0] if scalar else out
 
 
+def _select(cond, a, b):
+    """np.where(cond, a, b) on an array condition, else a if cond else b."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _clamp0(x):
+    """max(x, 0) with NaN kept: np.maximum on an array, where it costs a
+    third of a selection, else a plain if."""
+    if isinstance(x, np.ndarray):
+        return np.maximum(x, 0.0)
+    return 0.0 if x < 0.0 else x
+
+
 def _larger_root(p, q, t2, n_o, n_ep):
     """(k_n, disc): the larger root of qa k_n^2 + 2 hb k_n + c = 0 and its
     discriminant, unguarded, for the normal component k_n of a wavevector
@@ -188,11 +207,11 @@ def _larger_root(p, q, t2, n_o, n_ep):
     hb = A * p * q
     c = A * p * p + t2 * inv_e2 - 1.0
     disc = hb * hb - qa * c
-    root = np.sqrt(np.maximum(disc, 0.0))
+    root = np.sqrt(_clamp0(disc))
     # larger root (root - hb) / qa; where hb > 0 that difference cancels,
     # so use the equal product form -c / (hb + root) there
     far = hb > 0.0
-    return np.where(far, -c, root - hb) / np.where(far, hb + root, qa), disc
+    return _select(far, -c, root - hb) / _select(far, hb + root, qa), disc
 
 
 class _Transit:
@@ -214,7 +233,7 @@ class _Transit:
         ax, ay, az = spec._axis
         _, n_o, n_ep = _indices(spec.material, omega)
         t2 = sx * sx + sy * sy
-        t2 = np.where(t2 < 1.0, t2, np.nan)
+        t2 = _select(t2 < 1.0, t2, np.nan)
         kz = self.kz = _larger_root(sx * ax + sy * ay, az, t2, n_o, n_ep)[0]
         n = self.n = np.sqrt(t2 + kz * kz)
         (self.rx, self.ry, self.rz, self.cos_rho, self.ca_ray,

@@ -856,3 +856,37 @@ def test_cli_grid_whose_polar_sine_rounds_to_one_is_a_config_error(
     assert err.startswith("configuration error: grid: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key, length", [
+    ("phase-map", "crystal2.length_mm", "1e302"),
+    ("delay-map", "crystal2.length_mm", "1e306"),
+    ("phase-map", "crystal1.length_mm", "1000.0000000001"),
+    ("delay-map", "crystal1.length_mm", "1e308"),
+], ids=["phase-1e302", "delay-1e306", "just-above-cap", "delay-1e308"])
+def test_cli_crystal_length_above_the_cap_is_a_config_error(
+        tmp_path, capsys, command, key, length):
+    # before the cap these overflowed the kernels and were blamed on the
+    # partner photon (exit 3)
+    out = tmp_path / "long.csv"
+    argv = [command, "--config", _shipped("bbo_normal.yaml"), "--grid", "5x5",
+            "--set", f"{key}={length}", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key}: ")
+    assert "cap" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["phase-map", "delay-map"])
+def test_cli_crystal_length_at_the_cap_is_admitted(tmp_path, capsys,
+                                                   command):
+    out = tmp_path / "cap.csv"
+    argv = [command, "--config", _shipped("bbo_normal.yaml"), "--grid", "5x5",
+            "--set", "crystal1.length_mm=1000",
+            "--set", "crystal2.length_mm=1000", "--out", str(out)]
+    assert cli.main(argv) == 0
+    grid = mapio.read_map_csv(str(out))
+    assert grid.metadata["source"]["crystal2"]["length_mm"] == 1000.0
+    assert all(np.isfinite(v).all() for v in grid.values)

@@ -362,3 +362,12 @@ def test_crystal_spec_with_axis_copies():
     new = spec.with_axis(0.4, 0.1)
     assert new.material is BBO and new.length_mm == 0.6
     assert (new.axis_theta, new.axis_phi) == (0.4, 0.1)
+
+
+def test_crystal_length_cap():
+    assert crystal.CrystalSpec(BBO, crystal.MAX_LENGTH_MM, 0.3, 0.0) \
+        .length_mm == 1000.0
+    for length in (math.nextafter(1000.0, math.inf), 1e302, math.inf):
+        with pytest.raises(ConfigError) as exc:
+            crystal.CrystalSpec(BBO, length, 0.3, 0.0)
+        assert exc.value.key == "length_mm"

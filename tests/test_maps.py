@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcmaps import crystal, maps, phasematch, vecgeom
+from spdcmaps import compensation, crystal, maps, phasematch, vecgeom
 from spdcmaps.errors import ConfigError, FitError, KinematicsError
 from spdcmaps.phasematch import EmissionCoord, PumpConfig
 
@@ -316,6 +316,68 @@ def test_transit_components_match_the_vector_path():
                     assert np.array_equal(got, want, equal_nan=True), \
                         (mat, phi_a, nm, name)
                 assert np.count_nonzero(t.valid) == 62
+
+
+def test_zero_d_transit_equals_its_array_row_bitwise():
+    # the rows of the vector-path comparison above, one 0-d transit each
+    rng = np.random.default_rng(11)
+    r = np.sqrt(rng.uniform(0.0, 0.95, 60))
+    ph = rng.uniform(-math.pi, math.pi, 60)
+    sx = np.concatenate([r * np.cos(ph), [0.0, 1.0, 0.8, -0.3, np.nan]])
+    sy = np.concatenate([r * np.sin(ph), [0.0, 0.0, 0.7, -0.95, np.nan]])
+    # no wave in air: s^2 = 1, s^2 > 1 and the NaN row
+    dark = ~(sx * sx + sy * sy < 1.0)
+    for mat, cut, nms in (("BBO", 29.3, (405.0, 702.2, 810.0)),
+                          ("LiIO3", 51.95, (351.1, 702.2, 810.0))):
+        for phi_a in (0.0, 37.0, 90.0):
+            spec = crystal.CrystalSpec(crystal.get_material(mat), 1.0,
+                                       math.radians(cut), math.radians(phi_a))
+            for nm in nms:
+                w = crystal.omega_from_nm(nm)
+                rows = vecgeom._Transit(spec, w, sx, sy)
+                p_signs = set()
+                for i in range(sx.size):
+                    one = vecgeom._Transit(spec, w, sx[i], sy[i])
+                    for name in vecgeom._Transit.__slots__:
+                        got, want = getattr(one, name), getattr(rows, name)[i]
+                        assert np.ndim(got) == 0
+                        assert np.array_equal(got, want, equal_nan=True), \
+                            (mat, phi_a, nm, i, name)
+                    # the clamp keeps a NaN discriminant NaN
+                    assert math.isnan(one.kz) == dark[i]
+                    p_signs.add(np.sign(sx[i] * spec._axis[0]
+                                        + sy[i] * spec._axis[1]))
+                # hb = A p a_z takes both signs with p
+                assert {-1.0, 1.0} <= p_signs
+
+
+def test_pointwise_calls_make_no_zero_d_selection(monkeypatch):
+    # np.where and np.maximum on a 0-d value cost microseconds where a
+    # numpy-scalar operation costs a tenth of one; pointwise calls select
+    # without them, sweeps with them
+    seen = []
+    for name in ("where", "maximum"):
+        def spy(first, *args, _real=getattr(np, name), _name=name, **kw):
+            seen.append((_name, isinstance(first, np.ndarray)
+                         and first.ndim > 0))
+            return _real(first, *args, **kw)
+        monkeypatch.setattr(np, name, spy)
+    tilt = (math.radians(52.0), math.radians(90.0))
+    tilted = compensation.constrained_pump_state(
+        BBO.pump.with_tilt(*tilt), BBO)
+    cells = [(BBO, coord_at(25.0, -10.0, W_BBO)),
+             (LI, coord_at(-40.0, 15.0, W_LI)),
+             (tilted, EmissionCoord(W_BBO, math.radians(50.0),
+                                    math.radians(90.0)))]
+    for source, c in cells:
+        fresh = replace(source)  # its pump states are solved afresh
+        assert math.isfinite(maps.relative_phase(fresh, c))
+        for photon in ("s", "i"):
+            assert math.isfinite(maps.time_delay(fresh, c, photon))
+        assert all(map(math.isfinite, maps.time_intervals(fresh, c)))
+    assert [s for s in seen if not s[1]] == []
+    maps.sweep_delay_map(BBO, maps.GridSpec(3, 2, -20.0, 20.0, -5.0, 5.0))
+    assert seen and all(array for _, array in seen)
 
 
 def test_repeated_pointwise_calls_evaluate_no_sellmeier_fit(monkeypatch):
