@@ -79,8 +79,7 @@ def tracked_target(source):
     pump = source.pump
     phi = pump.phi_p + math.pi
     delta = phasematch.degenerate_emission_angle(source.crystal1, pump, phi)
-    tilt = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p)
-    return phasematch.degenerate_coord(pump, tilt, delta, phi), delta
+    return phasematch.degenerate_coord(pump, delta, phi), delta
 
 
 def tilt_delay(source, theta_p, phi_p, target=None):

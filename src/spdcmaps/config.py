@@ -230,9 +230,6 @@ def build_run_config(flat):
         x_min=canon["grid.x_min"], x_max=canon["grid.x_max"],
         y_min=canon["grid.y_min"], y_max=canon["grid.y_max"],
         mode=canon["grid.mode"])
-    if grid.nx * grid.ny > 2 ** 24:  # capped before any plane is allocated
-        raise ConfigError(f"{grid.nx} x {grid.ny} cells exceed the cap of "
-                          f"2^24 = {2 ** 24}", key="grid")
 
     filter_nm = canon["filter.center_nm"]
     if filter_nm is not None:

@@ -254,6 +254,9 @@ class GridSpec:
         if self.nx < 1 or self.ny < 1:
             raise ConfigError("grid must have at least one cell per axis",
                               key="grid")
+        if self.nx * self.ny > 2 ** 24:  # before any plane is allocated
+            raise ConfigError(f"{self.nx} x {self.ny} cells exceed the cap "
+                              f"of 2^24 = {2 ** 24}", key="grid")
         if self.mode not in (DETECTION_MODE, ANGULAR_MODE):
             raise ConfigError(f"unknown grid mode {self.mode!r}", key="grid.mode")
         spans = (self.x_max - self.x_min, self.y_max - self.y_min)

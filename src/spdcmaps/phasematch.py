@@ -5,9 +5,10 @@ components (sx, sy) = sin theta (cos phi, sin phi) (vecgeom._transverse).
 Energy and transverse-momentum conservation, which planar interfaces
 preserve, is written once, in _partner; the maps, conjugate and the
 mismatch all call it.  The pump enters its extraordinary branch through
-the photons' transit (vecgeom._Transit); the mismatch takes it and the
-ordinary photons with k_z^2 = (omega/c)^2 (n^2 - s^2), and the ring
-solve feeds it cone points: only degenerate_coord converts to angles.
+the photons' transit (vecgeom._Transit).  The mismatch is the sum of
++-omega k_z / c, the pump's k_z the one its transit solved; the ring
+solve feeds it cone points built on plain floats, and only
+degenerate_coord converts to angles.
 """
 
 import math
@@ -152,17 +153,16 @@ def delta_kappa(signal, pump, crystal_spec):
 
 def _mismatch(pump, spec, state, w_s, sx, sy):
     """delta_kappa (1/mm) for the signal at frequency w_s and air-side
-    components (sx, sy), with the pump's internal state already solved: the
-    partner from _partner, k_z^2 = (omega/c)^2 (n_o^2 - s^2) for both.
-    Each k_z^2 > 0, as n > 1 > s^2 (for s_i, _partner raises otherwise)."""
+    components (sx, sy), the pump's state solved: the sum of +-omega k_z / c
+    with the pump's k_z from its transit, sqrt(n_o^2 - s^2) for both photons.
+    Each n_o^2 - s^2 > 0, as n > 1 > s^2 (for s_i, _partner raises else)."""
     w_i, six, siy = _partner(pump, w_s, sx, sy)
-    qpx, qpy = pump.transverse_q()
     n_s = crystal._indices(spec.material, w_s)[1]
     n_i = crystal._indices(spec.material, w_i)[1]
-    kpz2 = (state.index * pump.omega / C_NM_FS) ** 2 - (qpx * qpx + qpy * qpy)
-    ksz2 = (w_s / C_NM_FS) ** 2 * (n_s * n_s - (sx * sx + sy * sy))
-    kiz2 = (w_i / C_NM_FS) ** 2 * (n_i * n_i - (six * six + siy * siy))
-    return (math.sqrt(kpz2) - math.sqrt(ksz2) - math.sqrt(kiz2)) * 1e6
+    return (pump.omega * (state.index * state.wavevector[2])
+            - w_s * math.sqrt(n_s * n_s - (sx * sx + sy * sy))
+            - w_i * math.sqrt(n_i * n_i - (six * six + siy * siy))
+            ) * 1e6 / C_NM_FS
 
 
 def amplitude_weight(dk_per_mm, d_mm):
@@ -181,11 +181,13 @@ COLLINEAR_MISMATCH_PER_MM = 1e-9
 DEGENERATE_SEARCH_BRACKET = (math.radians(0.1), math.radians(15.0))
 
 
-def _cone_point(tilt, delta, phi):
-    """Laboratory unit vector d of the point (delta, phi) on the cone around
-    the pump (tilt: its vecgeom.tilt_rotation).  KinematicsError where d_z
-    <= 0: the point does not leave through the exit face."""
-    d = vecgeom.apply_rotation(tilt, vecgeom.direction_from_angles(delta, phi))
+def _cone_point(frame, delta, phi):
+    """Laboratory unit vector d, on floats, of the point (delta, phi) on the
+    cone around the pump (frame: rows of its vecgeom.tilt_rotation).
+    KinematicsError where d_z <= 0: the point does not leave the exit face."""
+    s = math.sin(delta)
+    x, y, z = s * math.cos(phi), s * math.sin(phi), math.cos(delta)
+    d = [r[0] * x + r[1] * y + r[2] * z for r in frame]
     if not d[2] > 0.0:
         theta = math.degrees(math.acos(max(-1.0, d[2])))
         raise KinematicsError(f"cone point at polar angle {theta:.6g} deg "
@@ -193,9 +195,10 @@ def _cone_point(tilt, delta, phi):
     return d
 
 
-def degenerate_coord(pump, tilt, delta, phi):
-    """Laboratory coordinate at omega_p/2 of _cone_point(tilt, delta, phi)."""
-    ang = vecgeom.angles_from_direction(_cone_point(tilt, delta, phi))
+def degenerate_coord(pump, delta, phi):
+    """Laboratory coordinate at omega_p/2 of the cone point (delta, phi)."""
+    frame = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p).tolist()
+    ang = vecgeom.angles_from_direction(_cone_point(frame, delta, phi))
     return EmissionCoord(omega=0.5 * pump.omega, theta=ang.theta, phi=ang.phi)
 
 
@@ -208,13 +211,13 @@ def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0):
     on DEGENERATE_SEARCH_BRACKET to 1e-12 rad.  NoSolutionError for a
     bracket without a sign change, quoting it in degrees and the mismatch
     at its ends."""
-    tilt = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p)
+    frame = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p).tolist()
     state = pump_internal_state(pump, crystal_spec)
     w_half = 0.5 * pump.omega
     lo, hi = DEGENERATE_SEARCH_BRACKET
 
     def mismatch(delta):
-        d = _cone_point(tilt, delta, phi_target)
+        d = _cone_point(frame, delta, phi_target)
         return _mismatch(pump, crystal_spec, state, w_half, d[0], d[1])
 
     if abs(mismatch(0.0)) < COLLINEAR_MISMATCH_PER_MM:

@@ -6,10 +6,6 @@ combined with explicit x/y/z arithmetic rather than einsum or matmul
 reductions, and no routine iterates, so each element of a batch goes
 through the same fixed sequence of operations: a result does not depend
 on what else shares the batch or on how a grid is cut into batches.
-Each component expression is written once: a single vector packs its
-0-d components with np.array, a batch broadcasts and stacks them, so the
-solvers, which move one vector at a time, skip the batch packing and a
-single vector still equals the matching row of a batch bitwise.
 Selections go through _select and the root's clamp through _clamp0, the
 only places that tell 0-d input from arrays: numpy's array calls on an
 array, a plain if on a 0-d value, so a 0-d value costs what a numpy
@@ -73,11 +69,7 @@ def _transverse(theta, phi):
 
 def direction_from_angles(theta, phi):
     """Unit vector (sin t cos p, sin t sin p, cos t); broadcasts over arrays."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     parts = (*_transverse(theta, phi), np.cos(theta))
-    if theta.ndim == 0 and phi.ndim == 0:
-        return np.array(parts)
     return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
@@ -143,12 +135,10 @@ def tilt_rotation(theta, phi):
 def apply_rotation(R, v):
     """R @ v for a 3x3 matrix and (..., 3) vectors, explicit components."""
     v = np.asarray(v, dtype=float)
-    x, y, z = v.tolist() if v.ndim == 1 else (v[..., 0], v[..., 1], v[..., 2])
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
     parts = (R[0, 0] * x + R[0, 1] * y + R[0, 2] * z,
              R[1, 0] * x + R[1, 1] * y + R[1, 2] * z,
              R[2, 0] * x + R[2, 1] * y + R[2, 2] * z)
-    if v.ndim == 1:
-        return np.array(parts)
     return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 

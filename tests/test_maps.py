@@ -516,6 +516,15 @@ def test_grid_spec_validation():
             maps.GridSpec(1, 1, lo, hi, 0, 0, mode=maps.ANGULAR_MODE)
 
 
+def test_grid_spec_caps_the_cell_count():
+    # a library sweep gets the CLI's named error before any plane exists
+    with pytest.raises(ConfigError, match="2\\^24") as err:
+        maps.GridSpec(4097, 4097, -60.0, 60.0, -60.0, 60.0)
+    assert err.value.key == "grid"
+    gs = maps.GridSpec(4096, 4096, -60.0, 60.0, -60.0, 60.0)
+    assert gs.nx * gs.ny == 2 ** 24
+
+
 def test_source_config_validation():
     with pytest.raises(ConfigError):
         replace(LI, mu=1.5)

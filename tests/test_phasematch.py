@@ -343,3 +343,80 @@ def test_mismatch_matches_the_scalar_oracle(case, theta_deg, phi, frac):
         name, math.degrees(spec.axis_theta), pump.wavelength_nm, theta_deg,
         frac)
     assert abs(got - want) <= 1e-9
+
+
+# ------------------------------------------------- the ring solve on floats
+
+@settings(max_examples=300, deadline=None)
+@given(theta_p=st.floats(0.0, math.radians(80.0)),
+       phi_p=st.floats(-4.0 * math.pi, 4.0 * math.pi),
+       delta=st.floats(0.0, math.radians(15.0)),
+       phi=st.floats(-4.0 * math.pi, 4.0 * math.pi))
+def test_float_cone_point_is_the_matrix_cone_point(theta_p, phi_p, delta,
+                                                   phi):
+    tilt = vecgeom.tilt_rotation(theta_p, phi_p)
+    want = vecgeom.apply_rotation(
+        tilt, vecgeom.direction_from_angles(delta, phi))
+    if not want[2] > 0.0:
+        theta = math.degrees(math.acos(max(-1.0, want[2])))
+        with pytest.raises(KinematicsError) as err:
+            phasematch._cone_point(tilt.tolist(), delta, phi)
+        assert str(err.value) == (f"cone point at polar angle {theta:.6g} "
+                                  f"deg does not leave through the exit face")
+        return
+    got = phasematch._cone_point(tilt.tolist(), delta, phi)
+    assert [type(c) for c in got] == [float, float, float]
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-15
+
+
+def test_ring_solve_builds_no_numpy_vectors(monkeypatch):
+    calls = []
+    for name in ("direction_from_angles", "apply_rotation"):
+        monkeypatch.setattr(
+            vecgeom, name,
+            lambda *a, _f=getattr(vecgeom, name), _n=name:
+                calls.append(_n) or _f(*a))
+    tilted = PumpConfig(405.0, math.radians(7.0), math.radians(90.0))
+    for spec, pump in ((BBO_SPEC, PUMP_405), (LIIO3_SPEC, PUMP_351),
+                       (BBO_SPEC, tilted)):
+        phasematch.degenerate_emission_angle(spec, pump, math.radians(30.0))
+        compensation.tracked_target(maps.SourceConfig(spec, spec, pump))
+    assert calls == []
+
+
+def _parent_mismatch_per_mm(signal, pump, spec):
+    """k_pz - k_sz - k_iz (1/mm) with the pump's k_z rebuilt from its index
+    and transverse wavevector, and the idler's q from q_p - q_s."""
+    c = crystal.C_NM_FS
+    n_p = phasematch.pump_internal_state(pump, spec).index
+    w_p, w_s = pump.omega, signal.omega
+    w_i = w_p - w_s
+    qpx, qpy = pump.transverse_q()
+    qsx, qsy = signal.transverse_q()
+    n_s = crystal._indices(spec.material, w_s)[1]
+    n_i = crystal._indices(spec.material, w_i)[1]
+    s_s2 = math.sin(signal.theta) ** 2
+    s_i2 = ((qpx - qsx) ** 2 + (qpy - qsy) ** 2) * (c / w_i) ** 2
+    return (math.sqrt((n_p * w_p / c) ** 2 - (qpx * qpx + qpy * qpy))
+            - math.sqrt((w_s / c) ** 2 * (n_s * n_s - s_s2))
+            - math.sqrt((w_i / c) ** 2 * (n_i * n_i - s_i2))) * 1e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([(BBO_SPEC, PUMP_405), (LIIO3_SPEC, PUMP_351)]),
+       theta_p=st.floats(0.0, math.radians(60.0)),
+       phi_p=st.floats(-math.pi, math.pi),
+       delta=st.floats(0.0, math.radians(6.0)),
+       phi=st.floats(-math.pi, math.pi),
+       frac=st.floats(0.47, 0.53))
+def test_mismatch_reads_the_pump_kz_of_the_parent_law(case, theta_p, phi_p,
+                                                      delta, phi, frac):
+    # signals near the tilted pump's cone, so that the partner propagates
+    spec, pump = case
+    pump = pump.with_tilt(theta_p, phi_p)
+    frame = vecgeom.tilt_rotation(theta_p, phi_p).tolist()
+    ang = vecgeom.angles_from_direction(
+        phasematch._cone_point(frame, delta, phi))
+    signal = EmissionCoord(frac * pump.omega, ang.theta, ang.phi)
+    got = phasematch.delta_kappa(signal, pump, spec)
+    assert abs(got - _parent_mismatch_per_mm(signal, pump, spec)) <= 1e-9
