@@ -4,7 +4,9 @@ For each shipped source (the 52 deg tilt with its crystal axes co-rotated
 by compensation.constrained_pump_state) and about ten fixed air-side
 coordinates, print float.hex() of relative_phase, time_delay for both
 photons and time_intervals, or the name of the error a call raises.
-Two checkouts agree bitwise at these coordinates when their outputs are
+Then print float.hex() of both crystals' co-rotated (axis_theta,
+axis_phi) for the 52 deg tilt source at a few pump tilts.  Two checkouts
+agree bitwise at these coordinates and tilts when their outputs are
 identical:
 
     PYTHONPATH=src python scripts/pointwise_hex.py > pointwise.txt
@@ -27,6 +29,8 @@ NORMAL_CELLS = [(0.0, 0.0), (0.5, 30.0), (1.0, -45.0), (2.0, 90.0),
 TILTED_CELLS = [(50.0, 60.0), (50.0, 90.0), (45.0, 75.0), (55.0, 105.0),
                 (60.0, 60.0), (62.5, 82.0), (70.0, 90.0), (40.0, 80.0),
                 (65.0, 120.0), (30.0, 30.0)]
+# pump tilts in degrees, at a tilt azimuth of 90 deg, for the axes
+AXIS_TILTS = [0.0, 7.0, 30.0, 51.2, 60.0, 85.0]
 
 
 def _source(name):
@@ -60,6 +64,13 @@ def main():
                 print(f"  delay_{photon}",
                       _bits(maps.time_delay, src, c, photon))
             print("  intervals", _bits(maps.time_intervals, src, c))
+    src = _source("bbo_tilt52.yaml")
+    for tilt in AXIS_TILTS:
+        state = compensation.constrained_pump_state(
+            src.pump.with_tilt(math.radians(tilt), math.radians(90.0)), src)
+        print(f"bbo_tilt52.yaml axes tilt={tilt} phi_p=90",
+              " ".join(v.hex() for c in (state.crystal1, state.crystal2)
+                       for v in (c.axis_theta, c.axis_phi)))
 
 
 if __name__ == "__main__":

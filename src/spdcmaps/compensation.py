@@ -58,10 +58,13 @@ def constrained_pump_state(pump, source):
         _, n_o, n_ep = crystal._indices(spec.material, pump.omega)
         n_cut = crystal._section_index(n_o, n_ep, math.cos(ax_theta))
         theta_int = math.asin(math.sin(theta_p) / n_cut)
-        rot = vecgeom.tilt_rotation(theta_int, phi_p)
-        axis = vecgeom.apply_rotation(
-            rot, vecgeom.direction_from_angles(ax_theta, ax_phi))
-        ang = vecgeom.angles_from_direction(axis)
+        # apply_rotation's sums on direction_from_angles' components (the
+        # same numpy trig), for one vector without the batch packing
+        rot = vecgeom.tilt_rotation(theta_int, phi_p).tolist()
+        x, y = vecgeom._transverse(ax_theta, ax_phi)
+        z = np.cos(ax_theta)
+        ang = vecgeom.angles_from_direction(
+            [r[0] * x + r[1] * y + r[2] * z for r in rot])
         crystals.append(spec.with_axis(ang.theta, ang.phi))
     return replace(source, pump=pump, crystal1=crystals[0],
                    crystal2=crystals[1], base_axes=base)

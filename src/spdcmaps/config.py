@@ -95,7 +95,7 @@ def load_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_Loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if raw is None:
         raw = {}

@@ -24,6 +24,7 @@ stacks its output.  A CrystalSpec computes its optic axis once and a
 Material its hash once, since every transit reads both.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -108,10 +109,21 @@ class Material:
                               self.index_e_principal(lam_nm), cos_alpha)
 
 
+def _sqrt(x):
+    """The map kernels' square root: np.sqrt on an array, else math.sqrt,
+    NaN for negative or NaN x as np.sqrt gives.  Both are the correctly
+    rounded IEEE root, so a 0-d value stays a float with its array cell's
+    bits.  It lives here, not beside vecgeom._select and _clamp0, because
+    vecgeom imports this module."""
+    if isinstance(x, np.ndarray):
+        return np.sqrt(x)
+    return math.sqrt(x) if x >= 0.0 else math.nan
+
+
 def _section_index(n_o, n_ep, cos_alpha):
     """Index-ellipsoid section at axis cosine cos_alpha."""
     ca2 = cos_alpha * cos_alpha
-    return 1.0 / np.sqrt(ca2 / (n_o * n_o) + (1.0 - ca2) / (n_ep * n_ep))
+    return 1.0 / _sqrt(ca2 / (n_o * n_o) + (1.0 - ca2) / (n_ep * n_ep))
 
 
 def _load_registry_dict(raw):
@@ -267,7 +279,7 @@ def _ray_components(kx, ky, kz, crystal_spec, omega):
     inv_e2 = 1.0 / (n_ep * n_ep)
     A = inv_o2 - inv_e2
     ca2 = ca * ca
-    g = np.sqrt((1.0 - ca2) * (inv_e2 * inv_e2) + ca2 * (inv_o2 * inv_o2))
+    g = _sqrt((1.0 - ca2) * (inv_e2 * inv_e2) + ca2 * (inv_o2 * inv_o2))
     Aca = A * ca
     return ((inv_e2 * kx + Aca * ax) / g, (inv_e2 * ky + Aca * ay) / g,
             (inv_e2 * kz + Aca * az) / g,

@@ -84,24 +84,27 @@ def read_map_csv(path):
 
     The reconstruction is exact: every float (coordinates included)
     round-trips bitwise through the 17-digit formatting.  A file that is
-    not a map, lacks a header field, names fewer than two coordinate and
-    one value column, has a meta line that is not a JSON object, has
-    missing or ragged rows, or holds a non-numeric cell raises
-    DataFormatError naming the path.
+    not UTF-8 text or not a map, lacks a header field, names fewer than
+    two coordinate and one value column, has a meta line that is not a
+    JSON object, has missing or ragged rows, or holds a non-numeric cell
+    raises DataFormatError naming the path.
     """
     header = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != f"# {FORMAT_NAME}":
-            raise DataFormatError(
-                f"{path}: not a {FORMAT_NAME} file (leading line {first!r})")
-        line = fh.readline()
-        while line.startswith("#"):
-            key, sep, value = line[1:].strip().partition(":")
-            if sep:
-                header[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline().rstrip("\n")
+            if first != f"# {FORMAT_NAME}":
+                raise DataFormatError(f"{path}: not a {FORMAT_NAME} file "
+                                      f"(leading line {first!r})")
             line = fh.readline()
-        rows = (line + fh.read()).strip().replace("NA", "nan").splitlines()
+            while line.startswith("#"):
+                key, sep, value = line[1:].strip().partition(":")
+                if sep:
+                    header[key.strip()] = value.strip()
+                line = fh.readline()
+            rows = (line + fh.read()).strip().replace("NA", "nan").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
     try:
         ny, nx = (int(t) for t in header["shape"].split())
         cols = tuple(header["columns"].split(","))

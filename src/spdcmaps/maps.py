@@ -11,17 +11,18 @@ plane, are what this module evaluates, pointwise and on grids.
 Grid sweeps run elementwise array kernels on blocks of whole rows and
 mark bad cells NaN; pointwise operations run the same kernels on one
 EmissionCoord's 0-d values, so relative_phase and time_delay for either
-photon reproduce the phase and both delay columns bitwise.  On 0-d values
-the kernels' selections cost nothing beyond a plain if (vecgeom._select
-and _clamp0), so a pointwise call runs at numpy-scalar cost.  The kernels
-work on air-side transverse components (vecgeom._transverse) and share
-the one copy of the conservation law (phasematch._partner) and of the
-entry from air (vecgeom._Transit), which always exists, so a NaN cell
-has one cause: the partner photon is evanescent in air.  Pointwise,
-relative_phase and photon 'i' raise KinematicsError there, and first
-where omega_p - omega_s <= 0; any call raises it for a photon grazing
-the face (its sine rounding to 1).  No pointwise call raises
-RefractionError.
+photon reproduce the phase and both delay columns bitwise.  The 0-d
+values are plain floats: numpy computes only the coordinate's sin/cos
+(_at), the kernels' selections are plain ifs (vecgeom._select and
+_clamp0) and their roots math.sqrt (crystal._sqrt), so a pointwise call
+runs at Python-float cost.  The kernels work on air-side transverse
+components (vecgeom._transverse) and share the one copy of the
+conservation law (phasematch._partner) and of the entry from air
+(vecgeom._Transit), which always exists, so a NaN cell has one cause:
+the partner photon is evanescent in air.  Pointwise, relative_phase and
+photon 'i' raise KinematicsError there, and first where omega_p -
+omega_s <= 0; any call raises it for a photon grazing the face (its
+sine rounding to 1).  No pointwise call raises RefractionError.
 """
 
 import math
@@ -171,7 +172,7 @@ def _interval_values(source, w, sx, sy):
         ng_pe = crystal.group_index(c.material, w_p, "e",
                                     cos_alpha=math.cos(st.alpha))
         n_o = crystal._indices(c.material, w)[1]
-        kz_o = np.sqrt(n_o * n_o - s2) / n_o
+        kz_o = crystal._sqrt(n_o * n_o - s2) / n_o
         ng_o = crystal.group_index(c.material, w, "o")
         pe.append(k * (mu * c.length_mm * ng_pe))
         o.append(k * ((1.0 - mu) * c.length_mm * ng_o / kz_o))
@@ -193,7 +194,7 @@ def _at(kernel, source, coord, photon="s"):
     if photon not in ("s", "i"):
         raise ValueError(f"photon must be 's' or 'i', got {photon!r}")
     w = coord.omega
-    sx, sy = vecgeom._transverse(coord.theta, coord.phi)
+    sx, sy = map(float, vecgeom._transverse(coord.theta, coord.phi))
     if photon == "i":
         w, sx, sy = phasematch._partner(source.pump, w, sx, sy)
     vals = kernel(source, w, sx, sy)

@@ -6,10 +6,11 @@ combined with explicit x/y/z arithmetic rather than einsum or matmul
 reductions, and no routine iterates, so each element of a batch goes
 through the same fixed sequence of operations: a result does not depend
 on what else shares the batch or on how a grid is cut into batches.
-Selections go through _select and the root's clamp through _clamp0, the
-only places that tell 0-d input from arrays: numpy's array calls on an
-array, a plain if on a 0-d value, so a 0-d value costs what a numpy
-scalar does and never becomes a 0-d array.
+Selections go through _select, the root's clamp through _clamp0 and the
+square roots through crystal._sqrt, the only places that tell 0-d input
+from arrays: numpy's array calls on an array, a plain if or math.sqrt on
+a 0-d value, so plain floats stay plain floats and never become numpy
+scalars or 0-d arrays.
 
 Angles are radians throughout.  Scalar inputs raise on failure (total
 internal reflection); batched inputs mark the offending rows NaN and keep
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crystal import _indices, _ray_components
+from .crystal import _indices, _ray_components, _sqrt
 from .errors import RefractionError
 
 __all__ = [
@@ -197,7 +198,7 @@ def _larger_root(p, q, t2, n_o, n_ep):
     hb = A * p * q
     c = A * p * p + t2 * inv_e2 - 1.0
     disc = hb * hb - qa * c
-    root = np.sqrt(_clamp0(disc))
+    root = _sqrt(_clamp0(disc))
     # larger root (root - hb) / qa; where hb > 0 that difference cancels,
     # so use the equal product form -c / (hb + root) there
     far = hb > 0.0
@@ -225,7 +226,7 @@ class _Transit:
         t2 = sx * sx + sy * sy
         t2 = _select(t2 < 1.0, t2, np.nan)
         kz = self.kz = _larger_root(sx * ax + sy * ay, az, t2, n_o, n_ep)[0]
-        n = self.n = np.sqrt(t2 + kz * kz)
+        n = self.n = _sqrt(t2 + kz * kz)
         (self.rx, self.ry, self.rz, self.cos_rho, self.ca_ray,
          self.ca_k) = _ray_components(sx / n, sy / n, kz / n, spec, omega)
 

@@ -552,6 +552,24 @@ def test_cli_io_failures_exit_io(tmp_path, li_cfg, capsys):
     assert "i/o error" in err
 
 
+@pytest.mark.parametrize("command, flag, code, prefix", [
+    ("phase-match", "--config", 2,
+     "configuration error: cannot parse config file {}: "),
+    ("fit", "--profile", 4, "i/o error: {}: not UTF-8 text"),
+], ids=["config", "profile"])
+def test_cli_file_that_is_not_utf8_is_a_named_error(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     flag, code, prefix):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"pump.wavelength_nm: 405\xff\n")
+    assert cli.main([command, flag, str(bad)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix.format(bad))
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["bad.txt"]
+
+
 def test_cli_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["frobnicate"])

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spdcmaps import compensation, config, crystal, maps, phasematch
+from spdcmaps import compensation, config, crystal, maps, phasematch, vecgeom
 from spdcmaps.compensation import DELAY_TOLERANCE_FS
 from spdcmaps.errors import ConfigError, KinematicsError, NoSolutionError
 from spdcmaps.phasematch import EmissionCoord, PumpConfig
@@ -79,6 +79,32 @@ def test_retilt_composes_from_nominal_axes():
         tilted.pump.with_tilt(0.0, PHI), tilted)
     assert back.crystal1.axis_theta == BBO_SRC.crystal1.axis_theta
     assert back.crystal2.axis_phi == BBO_SRC.crystal2.axis_phi
+
+
+@pytest.mark.parametrize("src", [BBO_SRC, LI_SRC], ids=["BBO", "LiIO3"])
+def test_co_rotated_axes_equal_the_batch_rotation_bitwise(src):
+    # the co-rotation sums one vector on floats; the reference rotates it
+    # through vecgeom's stacked-vector path
+    base = src.nominal_axes()
+    for tilt_deg in (0.0, 7.0, 30.0, 51.2, 60.0, 85.0):
+        for phi_deg in (0.0, 90.0, 217.0):
+            pump = src.pump.with_tilt(math.radians(tilt_deg),
+                                      math.radians(phi_deg))
+            state = compensation.constrained_pump_state(pump, src)
+            for spec, (ax_theta, ax_phi) in zip(
+                    (state.crystal1, state.crystal2), base):
+                want = (ax_theta, ax_phi)  # normal incidence: untouched
+                if tilt_deg != 0.0:
+                    _, n_o, n_ep = crystal._indices(spec.material, pump.omega)
+                    n_cut = crystal._section_index(n_o, n_ep,
+                                                   math.cos(ax_theta))
+                    rot = vecgeom.tilt_rotation(
+                        math.asin(math.sin(pump.theta_p) / n_cut), pump.phi_p)
+                    axis = vecgeom.apply_rotation(
+                        rot, vecgeom.direction_from_angles(ax_theta, ax_phi))
+                    want = tuple(vecgeom.angles_from_direction(axis))
+                assert (spec.axis_theta, spec.axis_phi) == want, \
+                    (tilt_deg, phi_deg)
 
 
 def test_constraint_rejects_grazing_tilt():

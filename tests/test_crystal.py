@@ -7,6 +7,7 @@ the code paths themselves.
 """
 
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,23 @@ def test_array_out_of_range_marks_nan():
     n = BBO.index_o(np.array([810.0, 10.0, 405.0]))
     assert np.isfinite(n[0]) and np.isfinite(n[2])
     assert np.isnan(n[1])
+
+
+def test_kernel_sqrt_is_numpys_root_on_floats_and_arrays():
+    # the 0-d path takes math.sqrt, the sweeps np.sqrt: both are the
+    # correctly rounded root, so a pointwise call keeps its sweep cell's bits
+    values = [0.0, -0.0, 5e-324, 1e308, math.inf, math.nan, 2.0, 0.1]
+    for x in values:
+        got = crystal._sqrt(x)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", np.sqrt(x)), x
+    assert math.isnan(crystal._sqrt(-1.0))
+    arr = np.array(values + [-1.0, -math.inf]).reshape(2, 5)
+    with np.errstate(invalid="ignore"):
+        want = np.sqrt(arr)
+        got = crystal._sqrt(arr)
+    assert type(got) is np.ndarray
+    assert got.tobytes() == want.tobytes()
 
 
 def test_wavelength_frequency_roundtrip():

@@ -380,6 +380,42 @@ def test_pointwise_calls_make_no_zero_d_selection(monkeypatch):
     assert seen and all(array for _, array in seen)
 
 
+def test_pointwise_calls_take_no_numpy_root(monkeypatch):
+    # a pointwise call runs its kernels on plain floats: crystal._sqrt
+    # takes math.sqrt there, and np.sqrt only on the sweeps' arrays
+    tilted = compensation.constrained_pump_state(
+        BBO.pump.with_tilt(math.radians(52.0), math.radians(90.0)), BBO)
+    cells = [(BBO, coord_at(25.0, -10.0, W_BBO)),
+             (LI, coord_at(-40.0, 15.0, W_LI)),
+             (tilted, EmissionCoord(W_BBO, math.radians(50.0),
+                                    math.radians(90.0)))]
+    calls = [(maps.relative_phase, ()), (maps.time_delay, ("s",)),
+             (maps.time_delay, ("i",)), (maps.time_intervals, ())]
+    for source, c in cells:  # fills the dispersion memo and pump states
+        for fn, args in calls:
+            fn(source, c, *args)
+    roots = []
+    sqrt = np.sqrt
+
+    def spy(x, *args, **kw):
+        roots.append(isinstance(x, np.ndarray) and x.ndim > 0)
+        return sqrt(x, *args, **kw)
+    monkeypatch.setattr(np, "sqrt", spy)
+    for source, c in cells:
+        for fn, args in calls:
+            fn(source, c, *args)
+            assert roots == [], (fn.__name__, args)
+    maps.sweep_delay_map(BBO, maps.GridSpec(3, 2, -20.0, 20.0, -5.0, 5.0))
+    assert roots and all(roots)
+
+
+def test_transit_on_floats_holds_floats():
+    for source, w in ((BBO, W_BBO), (LI, W_LI)):
+        t = vecgeom._Transit(source.crystal2, w, 0.05, -0.02)
+        for name in vecgeom._Transit.__slots__:
+            assert type(getattr(t, name)) is float, name
+
+
 def test_repeated_pointwise_calls_evaluate_no_sellmeier_fit(monkeypatch):
     # the principal indices are memoised per (material, omega), so once a
     # source has been used its pointwise calls reuse them
