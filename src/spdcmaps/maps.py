@@ -236,6 +236,10 @@ def time_delay(source, signal, photon="s"):
 
 # ------------------------------------------------------------- grid sweeps
 
+# cells in the largest grid a sweep computes or a map file may declare
+_MAX_CELLS = 2 ** 24
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular sweep grid.  Coordinates are mm on the detection plane
@@ -255,9 +259,9 @@ class GridSpec:
         if self.nx < 1 or self.ny < 1:
             raise ConfigError("grid must have at least one cell per axis",
                               key="grid")
-        if self.nx * self.ny > 2 ** 24:  # before any plane is allocated
+        if self.nx * self.ny > _MAX_CELLS:  # before any plane is allocated
             raise ConfigError(f"{self.nx} x {self.ny} cells exceed the cap "
-                              f"of 2^24 = {2 ** 24}", key="grid")
+                              f"of 2^24 = {_MAX_CELLS}", key="grid")
         if self.mode not in (DETECTION_MODE, ANGULAR_MODE):
             raise ConfigError(f"unknown grid mode {self.mode!r}", key="grid.mode")
         spans = (self.x_max - self.x_min, self.y_max - self.y_min)

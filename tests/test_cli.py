@@ -3,11 +3,14 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdcmaps import cli, compensation, config, mapio, maps, phasematch
@@ -425,6 +428,108 @@ def test_profile_codec_matches_the_per_cell_oracle(tmp_path_factory, n,
          ("meta", _meta_json(meta))],
         [[a[i] for a in arrays] for i in range(n)])
     assert path.read_bytes() == want
+
+
+def _ramp_grid(ny, nx):
+    values = np.arange(ny * nx, dtype=float).reshape(ny, nx) / 7.0
+    values[0, -1] = math.nan
+    return maps.MapGrid(
+        kind="phase", mode=maps.DETECTION_MODE,
+        coord1=np.linspace(-1.0, 1.0, nx), coord2=np.linspace(-2.0, 2.0, ny),
+        coord_names=("x_mm", "y_mm"), value_names=("phase_deg",),
+        values=(values,), metadata={"nx": nx})
+
+
+# blocks of 1 to 16 cells and of 1 to 64 characters of text: grid rows
+# wider than a block (one row per block), partial last blocks, and lines
+# and NA cells split across the reader's blocks
+@settings(max_examples=100, deadline=None)
+@given(grid=_map_grids(), cells=st.integers(1, 16), chars=st.integers(1, 64))
+@example(grid=_ramp_grid(3, 9), cells=4, chars=5)
+@example(grid=_ramp_grid(5, 3), cells=6, chars=1)
+def test_map_codec_in_small_blocks_matches_the_per_cell_oracle(
+        tmp_path_factory, grid, cells, chars):
+    tmp = tmp_path_factory.mktemp("blocks")
+    arrays = [plane.ravel() for plane in grid.values]
+    with mock.patch.object(maps, "_CHUNK_CELLS", cells), \
+            mock.patch.object(mapio, "_READ_CHARS", chars):
+        mapio.write_map_csv(grid, str(tmp / "m.csv"), "0.0-test")
+        back = mapio.read_map_csv(str(tmp / "m.csv"))
+        mapio.write_profile_csv(str(tmp / "p.csv"), "0.0-test",
+                                grid.value_names, arrays, {"c0": 1.5})
+    assert (tmp / "m.csv").read_bytes() == _oracle_map(grid, "0.0-test")
+    for a, b in zip((grid.coord1, grid.coord2, *grid.values),
+                    (back.coord1, back.coord2, *back.values)):
+        assert _same_bits(a, b)
+    assert (tmp / "p.csv").read_bytes() == _oracle_table(
+        f"{mapio.FORMAT_NAME} profile",
+        [("version", "0.0-test"), ("columns", ",".join(grid.value_names)),
+         ("meta", _meta_json({"c0": 1.5}))],
+        zip(*arrays))
+
+
+_LATE_DEFECTS = [
+    (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]],
+     "expected 35 rows of 4 columns"),
+    (lambda lines: lines[:-2] + [lines[-2].rsplit(",", 1)[0] + ",1.5x",
+                                 lines[-1]], "bad numeric cell"),
+    (lambda lines: lines[:-5] + lines[-4:], "expected 35 rows of 4 columns"),
+    (lambda lines: lines + lines[-1:], "expected 35 rows of 4 columns"),
+]
+_LATE_DEFECT_IDS = ["ragged-last-row", "non-numeric-late-cell",
+                    "missing-row", "extra-row"]
+
+
+@pytest.mark.parametrize("mangle, message", _LATE_DEFECTS,
+                         ids=_LATE_DEFECT_IDS)
+def test_read_map_csv_names_defects_past_the_first_block(tmp_path, mangle,
+                                                         message):
+    bad = _mangled_map(tmp_path, mangle)
+    with mock.patch.object(mapio, "_READ_CHARS", 64), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match=message) as exc:
+            mapio.read_map_csv(str(bad))
+    assert str(exc.value).startswith(f"{bad}: ")
+
+
+@pytest.mark.parametrize("shape", ["-1 -1", "0 5", "5000 5000"])
+def test_map_shape_outside_the_grid_cap_is_a_format_error(tmp_path, capsys,
+                                                          shape):
+    # the header's shape, then one row of the map
+    bad = _mangled_map(tmp_path, lambda lines: (
+        lines[:4] + [f"# shape: {shape}"] + lines[5:8]))
+    with pytest.raises(DataFormatError,
+                       match=r"is not a grid of 1 to 2\^24 cells") as exc:
+        mapio.read_map_csv(str(bad))
+    assert str(exc.value).startswith(f"{bad}: ")
+    assert cli.main(["fit", "--profile", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {bad}: ")
+    assert "Traceback" not in err
+
+
+def test_map_csv_memory_is_bounded_by_a_block(tmp_path):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    rc = config.build_run_config(config.load_config_file(
+        os.path.join(here, "configs", "bbo_normal.yaml")))
+    grid = maps.sweep_delay_map(rc.source, replace(rc.grid, nx=513, ny=513),
+                                filter_center_nm=702.2)
+    path = str(tmp_path / "d.csv")
+    tracemalloc.start()
+    try:
+        mapio.write_map_csv(grid, path, "0.0-test")
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = mapio.read_map_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.same_data(grid)
+    # holding the whole text of this 14.7 MB file took 106 MB to write it
+    # and 47 MB to read it; the parsed table and its transposed copy take 17
+    assert write_peak < 8e6
+    assert read_peak < 24e6
 
 
 # -------------------------------------------------------------- commands
