@@ -9,15 +9,16 @@ gives the same bytes; the only timestamp is in the JSON sidecar.
 
 Files are written a block of grid rows at a time and read a block of
 text at a time, so memory does not grow with the file: the writer holds
-one block's strings, the reader one block's lines and the parsed grid.
-A map whose ``shape`` is not a grid of 1 to 2^24 cells (the sweep's
-cap) is refused before anything is sized from it.
+one block's strings, the reader one block's lines plus the planes it
+returns, into which each block is parsed.  A map whose ``shape`` is not
+a grid of 1 to 2^24 cells (the sweep's cap), or whose planes would hold
+more than the 2^26 values of a delay map at that cap, is refused before
+anything is sized from it.
 """
 
 import json
 import os
 from datetime import datetime, timezone
-from itertools import chain, islice
 
 import numpy as np
 
@@ -109,50 +110,21 @@ def read_map_csv(path):
     """Parse a CSV written by write_map_csv back into a MapGrid.
 
     The reconstruction is exact: every float (coordinates included)
-    round-trips bitwise through the 17-digit formatting.  Rows are
-    parsed as they are read, so memory is bounded by the grid, not by
-    the text.  A file that is not UTF-8 text or not a map, lacks a
-    header field, has a shape that is not a grid of 1 to 2^24 cells,
-    names fewer than two coordinate and one value column, has a meta
-    line that is not a JSON object, has missing, extra or ragged rows,
-    or holds a non-numeric cell raises DataFormatError naming the path.
+    round-trips bitwise through the 17-digit formatting.  Each block
+    of text is parsed straight into the planes returned, so the reader
+    holds one block's lines plus those planes, never the whole text or
+    a second copy of the grid.  A file that is not UTF-8 text or not a
+    map, lacks a header field, has a shape that is not a grid of 1 to
+    2^24 cells or that with its columns is more than 2^26 values, names
+    fewer than two coordinate and one value column, has a meta line
+    that is not a JSON object, has missing, extra or ragged rows, or
+    holds a non-numeric cell raises DataFormatError naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _read_map(path, fh)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
-
-
-def _blocks(fh, tail, seen):
-    """Lists of the lines from tail on to the end of fh, without their
-    ends and with NA spelled nan, split from _READ_CHARS characters of
-    text at a time.  seen["block"] is the list last handed over and
-    seen["before"] counts the lines of the lists before it."""
-    seen["before"], seen["block"] = 0, []
-    chunk = True
-    while chunk:
-        chunk = fh.read(_READ_CHARS)
-        block = (tail + chunk).replace("NA", "nan").split("\n")
-        # a partial line, which the next chunk completes
-        tail = block.pop() if chunk else ""
-        seen["before"] += len(seen["block"])
-        seen["block"] = block
-        yield block
-
-
-def _holds_rows(lines, commas, n):
-    """Whether the lines are n rows of commas + 1 fields, with blank lines
-    only before the first row and after the last."""
-    rows, gap = 0, False
-    for line in lines:
-        if not line.strip():
-            gap = rows > 0
-        elif gap or line.count(",") != commas:
-            return False
-        else:
-            rows += 1
-    return rows == n
 
 
 def _read_map(path, fh):
@@ -185,35 +157,48 @@ def _read_map(path, fh):
                               f"fewer than two coordinates and a value")
     if not isinstance(meta, dict):
         raise DataFormatError(f"{path}: meta line is not a JSON object")
-    n = ny * nx
-    commas = len(cols) - 1
+    n, ncols = ny * nx, len(cols)
+    # the widest map a sweep writes is a delay map at the cap
+    if n * ncols > 4 * maps._MAX_CELLS:
+        raise DataFormatError(f"{path}: shape {ny} x {nx} with {ncols} "
+                              f"columns is more than 2^26 values")
+    commas = ncols - 1
     bad_shape = DataFormatError(
-        f"{path}: expected {n} rows of {len(cols)} columns")
+        f"{path}: expected {n} rows of {ncols} columns")
     while line.isspace():
         line = fh.readline()
-    # checked first: loadtxt warns on an empty body instead of raising, and
-    # takes the row width from the first row
-    if line.count(",") != commas:
+    planes = np.empty((ncols, ny, nx))
+    table = planes.reshape(ncols, n)  # a view: each block's rows land in it
+    row, tail, chunk = 0, line, True
+    while chunk:
+        chunk = fh.read(_READ_CHARS)
+        lines = (tail + chunk).replace("NA", "nan").split("\n")
+        # a partial line, which the next chunk completes
+        tail = lines.pop() if chunk else ""
+        k = min(len(lines), n - row)
+        if any(map(str.strip, lines[k:])):  # a line past the last row
+            raise bad_shape
+        if not k:
+            continue
+        # loadtxt takes the row width from the first row and warns on a
+        # block of comment or blank lines instead of raising
+        first = lines[0]
+        if first.count(",") != commas or not first.partition("#")[0].strip():
+            raise bad_shape
+        try:
+            block = np.loadtxt(lines[:k], delimiter=",", comments="#",
+                               ndmin=2)
+        except ValueError as exc:
+            if any(text.count(",") != commas for text in lines[:k]):
+                raise bad_shape from None
+            raise DataFormatError(f"{path}: bad numeric cell ({exc})") \
+                from None
+        if block.shape != (k, ncols):  # a blank or comment line among rows
+            raise bad_shape
+        table[:, row:row + k] = block.T
+        row += k
+    if row != n:
         raise bad_shape
-    seen = {}
-    blocks = _blocks(fh, line, seen)
-    lines = chain.from_iterable(blocks)
-    try:  # no more lines than the declared rows, parsed as they are read
-        data = np.loadtxt(islice(lines, n), delimiter=",", comments="#",
-                          ndmin=2)
-    except UnicodeDecodeError:  # a ValueError too; read_map_csv names it
-        raise
-    except ValueError as exc:
-        # a ragged, missing or extra row in the block loadtxt stopped in
-        # or after it names the shape
-        rest = chain(seen["block"], chain.from_iterable(blocks))
-        if not _holds_rows(rest, commas, n - seen["before"]):
-            raise bad_shape from None
-        raise DataFormatError(f"{path}: bad numeric cell ({exc})") from None
-    # too few rows, a blank or comment line among them, or rows left over
-    if data.shape != (n, len(cols)) or any(map(str.strip, lines)):
-        raise bad_shape
-    planes = data.T.copy().reshape(len(cols), ny, nx)
     return maps.MapGrid(
         kind=kind, mode=mode, coord1=planes[0, 0], coord2=planes[1, :, 0],
         coord_names=cols[:2], value_names=cols[2:], values=tuple(planes[2:]),

@@ -532,6 +532,106 @@ def test_map_csv_memory_is_bounded_by_a_block(tmp_path):
     assert read_peak < 24e6
 
 
+def test_map_csv_read_holds_one_copy_of_the_planes(tmp_path):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    rc = config.build_run_config(config.load_config_file(
+        os.path.join(here, "configs", "bbo_normal.yaml")))
+    grid = maps.sweep_delay_map(rc.source, replace(rc.grid, nx=513, ny=513),
+                                filter_center_nm=702.2)
+    path = str(tmp_path / "d.csv")
+    mapio.write_map_csv(grid, path, "0.0-test")
+    tracemalloc.start()
+    try:
+        back = mapio.read_map_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.same_data(grid)
+    # the four planes are 8.4 MB; a block of text and its parse are the
+    # rest, where a parsed table and its transposed copy took 16.9 MB
+    assert read_peak < 1.25 * 4 * 513 ** 2 * 8
+
+
+def test_map_wider_than_a_delay_map_at_the_cap_is_a_format_error(
+        tmp_path, capsys):
+    # 16 KB of text whose header declares 2^24 cells of 1000 columns
+    columns = ",".join(f"c{k}" for k in range(1000))
+    bad = tmp_path / "wide.csv"
+    bad.write_text("\n".join(
+        [f"# {mapio.FORMAT_NAME}", "# version: 0.0-test", "# kind: phase",
+         f"# mode: {maps.DETECTION_MODE}", "# shape: 4096 4096",
+         f"# columns: {columns}", "# meta: {}"]
+        + [",".join("0" * 1000)] * 8) + "\n")
+    with pytest.raises(DataFormatError, match="more than 2\\^26 values") \
+            as exc:
+        mapio.read_map_csv(str(bad))
+    assert str(exc.value).startswith(f"{bad}: ")
+    assert cli.main(["fit", "--profile", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {bad}: ")
+    assert "Traceback" not in err
+
+
+def _digit_map_lines(tmp_path):
+    """Header and body lines of a map of 64 rows of four one-digit cells."""
+    grid = maps.MapGrid(
+        kind="delay", mode=maps.DETECTION_MODE, coord1=np.arange(8.0),
+        coord2=np.arange(8.0), coord_names=("x_mm", "y_mm"),
+        value_names=("dt_s_fs", "dt_i_fs"),
+        values=(np.zeros((8, 8)), np.ones((8, 8))), metadata={})
+    path = tmp_path / "m.csv"
+    mapio.write_map_csv(grid, str(path), "0.0-test")
+    lines = path.read_text().splitlines()
+    return lines[:7], lines[7:]
+
+
+# a run of comment lines with a row's commas, and a blank line, each
+# starting a block of the reader's text in mid-body; a block of nothing
+# but comments makes loadtxt warn where the reader must name the shape
+@pytest.mark.parametrize("chars", [1, 7, 64])
+@pytest.mark.parametrize("non_rows", [["#,,,"] * 20, [""]],
+                         ids=["comment-run", "blank-line"])
+def test_non_rows_at_a_block_boundary_name_the_shape(tmp_path, chars,
+                                                     non_rows):
+    header, body = _digit_map_lines(tmp_path)
+    # the reader takes its blocks from the second row of the body on
+    r = next(r for r in range(32, 64)
+             if sum(len(line) + 1 for line in body[1:r]) % chars == 0)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(header + body[:r] + non_rows + body[r:]) + "\n")
+    with mock.patch.object(mapio, "_READ_CHARS", chars), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError,
+                           match="expected 64 rows of 4 columns") as exc:
+            mapio.read_map_csv(str(bad))
+    assert str(exc.value).startswith(f"{bad}: ")
+
+
+# non-rows two rows into a 64-character block of the body, so that the
+# rows they displace fall in later blocks, not past the last row; and
+# rows missing from a file whose last line, a row, has no line end
+@pytest.mark.parametrize("text", [
+    lambda header, body: "\n".join(header + body[:35] + ["#,,,"] * 20
+                                   + body[35:]) + "\n",
+    lambda header, body: "\n".join(header + body[:35] + [""]
+                                   + body[35:]) + "\n",
+    lambda header, body: "\n".join(header + body[:35] + ["#,,,"]
+                                   + body[35:]) + "\n",
+    lambda header, body: "\n".join(header + body[:-3] + body[-1:]),
+], ids=["comment-run", "blank-line", "comment-line", "no-line-end"])
+def test_non_rows_among_the_rows_of_a_block_name_the_shape(tmp_path, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text(*_digit_map_lines(tmp_path)))
+    with mock.patch.object(mapio, "_READ_CHARS", 64), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError,
+                           match="expected 64 rows of 4 columns") as exc:
+            mapio.read_map_csv(str(bad))
+    assert str(exc.value).startswith(f"{bad}: ")
+
+
 # -------------------------------------------------------------- commands
 
 def test_cli_phase_map_runs_and_is_byte_stable(tmp_path, li_cfg, capsys):
