@@ -15,8 +15,9 @@ Index functions accept scalars or ndarrays.  A scalar wavelength outside a
 material's validity window raises RangeError, array input gets NaN in the
 offending slots.  group_index, walkoff_angle, walkoff_ray and the
 extraordinary refraction take one scalar omega, whose two principal
-indices are memoised per (material, omega): a map needs only a few
-frequencies, and a sweep outside the window raises RangeError too.
+indices, and group indices, are memoised per (material, omega): a map
+needs only a few frequencies, and a sweep outside the window raises
+RangeError too.
 
 The index-surface normal is written once, on components, in
 _ray_components: the map sweeps' transit calls it directly, walkoff_ray
@@ -205,6 +206,15 @@ def _fit_slope(fit, lam, n):
     return dn2_dL * lam * 1e-6 / n
 
 
+@lru_cache
+def _principal_group(material, omega):
+    """(ordinary, principal extraordinary) group index of a material at one
+    scalar frequency; memoised like _indices."""
+    lam, nn_o, nn_ep = _indices(material, omega)
+    return (nn_o - lam * _fit_slope(material.ordinary, lam, nn_o),
+            nn_ep - lam * _fit_slope(material.extraordinary, lam, nn_ep))
+
+
 def group_index(material, omega, polarization="o", cos_alpha=None):
     """Group index n_g = n - lambda dn/dlambda (equivalently n + w dn/dw).
 
@@ -212,15 +222,15 @@ def group_index(material, omega, polarization="o", cos_alpha=None):
     fixed geometric angle alpha (cos_alpha given; None means the principal
     plane, alpha = 90 deg).  Derivatives come from the closed-form fit
     slope, so the result is as smooth in the inputs as the index itself.
-    omega is a scalar; its dispersion is read once per (material, omega).
+    omega is a scalar; its dispersion, and the two principal group
+    indices, are computed once per (material, omega).
     """
     if polarization not in ("o", "e"):
         raise ValueError(f"polarization must be 'o' or 'e', got {polarization!r}")
+    if polarization == "o" or cos_alpha is None:
+        ng_o, ng_ep = _principal_group(material, omega)
+        return ng_o if polarization == "o" else ng_ep
     lam, nn_o, nn_ep = _indices(material, omega)
-    if polarization == "o":
-        return nn_o - lam * _fit_slope(material.ordinary, lam, nn_o)
-    if cos_alpha is None:
-        return nn_ep - lam * _fit_slope(material.extraordinary, lam, nn_ep)
     n = _section_index(nn_o, nn_ep, cos_alpha)
     ca2 = cos_alpha * cos_alpha
     slope = (n * n * n) * (

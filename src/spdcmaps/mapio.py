@@ -7,18 +7,27 @@ varying fastest.  Floats carry 17 significant digits, so they read back
 bitwise, and invalid cells are spelled ``NA``.  The same data always
 gives the same bytes; the only timestamp is in the JSON sidecar.
 
+Every float is written as the bytes ``"%.17g" % v`` gives, but numpy
+formats a block of them at once (_format): the digits come from an
+exactly rounded integer, the text from lookup tables.  Ties of the 17th
+digit, infinities and magnitudes outside [1e-280, 1e280] are left to
+``"%.17g"`` itself.
+
 Files are written a block of grid rows at a time and read a block of
 text at a time, so memory does not grow with the file: the writer holds
-one block's strings, the reader one block's lines plus the planes it
+one block's text, the reader one block's lines plus the planes it
 returns, into which each block is parsed.  A map whose ``shape`` is not
 a grid of 1 to 2^24 cells (the sweep's cap), or whose planes would hold
 more than the 2^26 values of a delay map at that cap, is refused before
 anything is sized from it.
 """
 
+import itertools
 import json
 import os
 from datetime import datetime, timezone
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,20 +41,155 @@ FORMAT_NAME = "spdcmaps map"
 # parses faster than when the file is iterated line by line
 _READ_CHARS = 1 << 16
 
+# A float's text is built in a slot of 32 bytes, four little-endian words:
+#   bytes 0-6    '-', after it the "0." and zeros of exponents -4 to -1
+#   bytes 7-24   the 17 significant digits, the point after digit E in
+#                fixed notation, after the first in exponent notation
+#   bytes 26-30  the exponent, e+XX or e-XXX;  byte 31  ',' or '\n'
+# Bytes not written are NUL.  As in %g, E is the decimal exponent of the
+# rounded value, -4 <= E < 17 is fixed notation, and trailing zeros after
+# the point are dropped, the point with them where no digit follows.
+_WORD = np.dtype("<u8")
+_E_MAX = 282        # |E| of 1e-280 to 1e280, estimated one off or rounded up
+_SPLIT = 134217729.0        # 2^27 + 1, Dekker's splitter
 
-def _column(values):
-    """Cell strings of a float array: 17 significant digits, NaN as NA."""
-    return ["NA" if v != v else "%.17g" % v
-            for v in np.ravel(values).tolist()]
+
+def _words(raw):
+    """The 32-byte slot images in raw as a (4, slots) array of words."""
+    return np.frombuffer(raw, _WORD).reshape(-1, 4).T
 
 
-def _write_table(path, title, fields, meta, shape, block):
+@lru_cache(maxsize=1)
+def _tables():
+    """The formatter's lookup tables, built on first use.  Per E: 10^(16 -
+    E) as a double pair (hi, lo) with hi split, the words around the
+    digits, and how many digits may be dropped and follow the point; per
+    4-digit group its ASCII and trailing zeros; per count of digits
+    dropped, the masks of the digits kept."""
+    exps = range(-_E_MAX, _E_MAX + 1)
+    scale, digits = [], []
+    # per E: the bytes around the digits and the minus sign, and masks of
+    # the digits that stay and of those moved up a byte past the point
+    base, minus, same, moved = (bytearray(32 * len(exps)) for _ in range(4))
+    for o, e in zip(itertools.count(0, 32), exps):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi = num / den  # correctly rounded, and so is the rest
+        n, d = hi.as_integer_ratio()
+        split = hi * _SPLIT
+        top = split - (split - hi)
+        scale.append((hi, (num * d - n * den) / (den * d), top, hi - top))
+        fixed = -4 <= e <= 16
+        start = 6 + e if -4 <= e < 0 else 7  # first byte after the sign
+        point = 8 + e if 0 <= e < 16 else 24 if fixed else 8  # 24: none
+        exp = b"" if fixed else b"e%+03d" % e
+        minus[o + start - 1] = ord("-")
+        base[o + start:o + 8] = b"0.000"[:7 - start] + b"0"
+        if point < 24:
+            base[o + point] = ord(".")
+        base[o + 31 - len(exp):o + 31] = exp
+        same[o + 8:o + point] = b"\xff" * (point - 8)
+        moved[o + point + 1:o + 25] = b"\xff" * (24 - point)
+        # how many of the last 16 digits may be dropped (fixed notation
+        # keeps its integer digits), and how many follow the point
+        digits.append((16 - e if 0 <= e <= 16 else 16, 24 - point))
+    # row c keeps all but the last c of the 17 digits: the masks of the
+    # words of digits 1-8 and 9-16
+    c, byte = np.ix_(range(17), range(8))
+    kept = np.where([byte < 16 - c, byte < 8 - c], 0xFF, 0).astype(np.uint8)
+    group = np.arange(10000, dtype=np.uint64)
+    zeros = np.zeros(10000, np.intp)
+    for m in range(1, 5):
+        zeros[group % 10 ** m == 0] = m
+    return SimpleNamespace(
+        scale=np.array(scale).T.copy(), digits=np.array(digits).T.copy(),
+        words=np.concatenate((_words(base), _words(minus)[:1],
+                              _words(same)[1:3],
+                              _words(moved)[1:4])).copy(),
+        kept=kept.view(_WORD)[..., 0],
+        quads=sum((group // 10 ** (3 - m) % 10 + 48) << np.uint64(8 * m)
+                  for m in range(4)),
+        zeros=zeros, na=np.frombuffer(b"NA".ljust(32, b"\0"), _WORD))
+
+
+def _scaled(t, a, i):
+    """p + r = a 10^(16 - E), E at table rows i: p = fl(a hi), and r its
+    exact rounding error (Dekker's product) plus a lo, to within 1e-14."""
+    hi, lo, hi_top, hi_low = np.take(t.scale, i, axis=1)
+    p = a * hi
+    split = a * _SPLIT
+    top = split - (split - a)
+    low = a - top
+    err = ((top * hi_top - p) + top * hi_low + low * hi_top) + low * hi_low
+    return p, err + a * lo
+
+
+def _format(values):
+    """The (n, 4) word slots of n floats: the text "%.17g" % v gives, NA
+    for NaN, NUL padded.  |v| is rounded to the 17-digit N = round(|v|
+    10^(16 - E)); within 1e-9 of a tie, or where |v| is nonzero and
+    outside [1e-280, 1e280] (inf included), "%.17g" % v itself fills the
+    slot."""
+    t = _tables()
+    v = np.asarray(values, dtype=float).ravel()
+    chars = np.empty((v.size, 4), _WORD)
+    mag = np.abs(v)
+    ok = (mag >= 1e-280) & (mag <= 1e280)
+    with np.errstate(all="ignore"):
+        a = np.where(ok, mag, 1.0)  # 0, NaN and the rest: a placeholder
+        i = np.floor(np.log10(a)).astype(np.intp) + _E_MAX
+        p, r = _scaled(t, a, i)
+        # the estimate of E is one off where p + r is outside [1e16, 1e17)
+        low = (p - 1e16) + r < 0
+        high = (p - 1e17) + r >= 0
+        fix = np.flatnonzero(low | high)
+        i[fix] += np.where(high[fix], 1, -1)
+        p[fix], r[fix] = _scaled(t, a[fix], i[fix])
+        rounded = np.rint(r)
+        tie = np.abs(r - rounded) > 0.5 - 1e-9
+    # p is an integer above 2^53
+    n = np.where(ok, p.astype(np.int64) + rounded.astype(np.int64), 0)
+    n = n.view(np.uint64)
+    top = np.flatnonzero(n == 10 ** 17)
+    n[top] = 10 ** 16
+    i[top] += 1
+    first, rest = np.divmod(n, 10 ** 16)
+    g1, g2 = np.divmod(rest // 10 ** 8, 10 ** 4)
+    g3, g4 = np.divmod(rest % 10 ** 8, 10 ** 4)
+    zeros = t.zeros[g4]
+    k = np.flatnonzero(g4 == 0)  # a round last group: count on
+    for g in (g3, g2, g1):
+        zeros[k] += t.zeros[g[k]]
+        k = k[g[k] == 0]
+    limit, after = np.take(t.digits, i, axis=1)
+    dropped = np.minimum(zeros, limit)
+    lead, base1, base2, base3, minus, same1, same2, moved1, moved2, moved3 \
+        = np.take(t.words, i, axis=1)
+    x1 = (t.quads[g1] | t.quads[g2] << 32) & t.kept[0][dropped]
+    x2 = (t.quads[g3] | t.quads[g4] << 32) & t.kept[1][dropped]
+    w0 = lead | first << 56 | minus * np.signbit(v)
+    point = dropped < after
+    # the point goes in by moving the digits after it up a byte
+    chars[:, 0] = w0
+    chars[:, 1] = ((x1 & same1) | ((x1 << 8 | w0 >> 56) & moved1)
+                   | base1 * point)
+    chars[:, 2] = ((x2 & same2) | ((x2 << 8 | x1 >> 56) & moved2)
+                   | base2 * point)
+    chars[:, 3] = (x2 >> 56 & moved3) | base3
+    chars[v != v] = t.na
+    for at in np.flatnonzero(tie | ~ok & (mag > 0)):
+        chars[at] = np.frombuffer((b"%.17g" % v[at]).ljust(32, b"\0"), _WORD)
+    return chars
+
+
+def _write_table(path, title, fields, meta, shape, ncols, fill):
     """'# <title>', a '# key: value' line per field and '# meta: <json>',
-    then one comma-separated row per cell of a (ny, nx) grid, row-major.
+    then one row of ncols comma-separated floats per cell of a (ny, nx)
+    grid, row-major.
 
-    block(i, j) gives the string columns of grid rows i to j.  Rows are
-    formatted and written a block of whole grid rows at a time, the
-    sweep's blocks, so memory is bounded by one block, not by the file.
+    fill(i, j, chars) fills the (cells, ncols, 4) word slots of grid rows
+    i to j with _format's.  Rows are formatted and written a block of whole
+    grid rows at a time, the sweep's blocks, into slots allocated once:
+    memory is bounded by one block, not by the file.
     """
     ny, nx = shape
     rows = max(1, maps._CHUNK_CELLS // nx)
@@ -53,11 +197,17 @@ def _write_table(path, title, fields, meta, shape, block):
     lines += (f"# {key}: {value}" for key, value in fields)
     lines.append("# meta: " + json.dumps(meta, sort_keys=True,
                                          separators=(",", ":")))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ends = np.full(ncols, ord(","), np.uint8)
+    ends[-1] = ord("\n")
+    chars = np.empty((rows * nx, ncols, 4), _WORD)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
         for i in range(0, ny, rows):
-            fh.write("\n".join(map(",".join, zip(*block(i, i + rows))))
-                     + "\n")
+            k = (min(i + rows, ny) - i) * nx
+            fill(i, i + rows, chars[:k])
+            text = chars[:k].view(np.uint8)
+            text[:, :, 31] = ends
+            fh.write(text[text != 0])
     return path
 
 
@@ -73,15 +223,18 @@ def write_map_csv(grid, path, version):
     fields = (("version", version), ("kind", grid.kind),
               ("mode", grid.mode), ("shape", f"{ny} {nx}"),
               ("columns", ",".join(grid.coord_names + grid.value_names)))
-    coord1 = _column(grid.coord1)
+    xs = _format(grid.coord1)
 
-    def block(i, j):
-        coord2 = _column(grid.coord2[i:j])
-        return [coord1 * len(coord2), [c for c in coord2 for _ in range(nx)],
-                *(_column(plane[i:j]) for plane in grid.values)]
+    def fill(i, j, chars):
+        ys = _format(grid.coord2[i:j])
+        cells = chars.reshape(len(ys), nx, -1, 4)
+        cells[:, :, 0] = xs
+        cells[:, :, 1] = ys[:, None]
+        for col, plane in enumerate(grid.values, 2):
+            chars[:, col] = _format(plane[i:j])
 
     return _write_table(path, FORMAT_NAME, fields, grid.metadata, (ny, nx),
-                        block)
+                        2 + len(grid.values), fill)
 
 
 def write_sidecar(path, grid, version, extra):
@@ -208,6 +361,10 @@ def _read_map(path, fh):
 def write_profile_csv(path, version, columns, arrays, meta):
     """Profile export (fit output) in the map layout, one row per sample."""
     fields = (("version", version), ("columns", ",".join(columns)))
+
+    def fill(i, j, chars):
+        for col, values in enumerate(arrays):
+            chars[:, col] = _format(values[i:j])
+
     return _write_table(path, f"{FORMAT_NAME} profile", fields, meta,
-                        (len(arrays[0]), 1),
-                        lambda i, j: [_column(a[i:j]) for a in arrays])
+                        (len(arrays[0]), 1), len(arrays), fill)

@@ -56,7 +56,8 @@ class SourceConfig:
     directly.  The two differ by well under a percent in transit time but
     the difference matters when hunting the self-compensating tilt.
     pump_states holds both crystals' phasematch.pump_internal_state, solved
-    once on first use (replace() builds a new instance, solved afresh).
+    once on first use (replace() builds a new instance, solved afresh), and
+    pump_group_e the pump's group index in each, computed with them.
     """
 
     crystal1: crystal.CrystalSpec
@@ -91,6 +92,15 @@ class SourceConfig:
     def pump_states(self):
         return tuple(phasematch.pump_internal_state(self.pump, c)
                      for c in (self.crystal1, self.crystal2))
+
+    @cached_property
+    def pump_group_e(self):
+        """The pump's extraordinary group index in each crystal, at the
+        axis angle of its pump_states entry."""
+        return tuple(crystal.group_index(c.material, self.pump.omega, "e",
+                                         cos_alpha=math.cos(st.alpha))
+                     for c, st in zip((self.crystal1, self.crystal2),
+                                      self.pump_states))
 
 
 def source_snapshot(source):
@@ -148,7 +158,8 @@ def _delay_values(source, w, sx, sy):
     given transverse direction components; arrays in, array out."""
     t = _Transit(source.crystal2, w, sx, sy)
     ng_eff = _group_e_effective(source, w, t)
-    ng_po = crystal.group_index(source.crystal1.material, source.pump.omega, "o")
+    ng_po = crystal._principal_group(source.crystal1.material,
+                                     source.pump.omega)[0]
     d1 = source.crystal1.length_mm
     d2 = source.crystal2.length_mm
     # two scaled terms, subtracted last: _interval_values adds this value
@@ -166,17 +177,15 @@ def _interval_values(source, w, sx, sy):
     k = 1e6 / C_NM_FS
     s2 = sx * sx + sy * sy
     pe, o = [], []
-    for c, st in zip((c1, c2), source.pump_states):
+    for c, ng_pe in zip((c1, c2), source.pump_group_e):
         # pump extraordinary up to the birth depth, then the photon
         # ordinary from there to the exit face of its birth crystal
-        ng_pe = crystal.group_index(c.material, w_p, "e",
-                                    cos_alpha=math.cos(st.alpha))
         n_o = crystal._indices(c.material, w)[1]
         kz_o = crystal._sqrt(n_o * n_o - s2) / n_o
-        ng_o = crystal.group_index(c.material, w, "o")
+        ng_o = crystal._principal_group(c.material, w)[0]
         pe.append(k * (mu * c.length_mm * ng_pe))
         o.append(k * ((1.0 - mu) * c.length_mm * ng_o / kz_o))
-    po = k * (c1.length_mm * crystal.group_index(c1.material, w_p, "o"))
+    po = k * (c1.length_mm * crystal._principal_group(c1.material, w_p)[0])
     dt = _delay_values(source, w, sx, sy)
     t2 = (pe[1] + o[1]) + po
     # equal birth segments cancel exactly, so equal plates give

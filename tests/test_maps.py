@@ -194,6 +194,27 @@ def test_interval_boundary_pair_born_at_exit():
     assert t2 == pytest.approx(k * (d * ng_po + d * ng_o / kz), abs=1e-9)
 
 
+def test_pointwise_transits_compute_one_group_index_per_call(monkeypatch):
+    # the pump's group indices and the ordinary ones at a frequency are
+    # fixed per source and frequency; only the extraordinary one along the
+    # photon's ray is computed per call
+    calls = []
+    real = crystal.group_index
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(crystal, "group_index", counted)
+    src = replace(BBO, mu=0.3)
+    for fn in (maps.time_intervals, maps.time_delay):
+        for photon in ("s", "i"):
+            fn(src, coord_at(10.0, 5.0, W_BBO), photon)
+            calls.clear()
+            fn(src, coord_at(-20.0, 15.0, W_BBO), photon)
+            assert len(calls) == 1
+
+
 def test_partner_delay_is_delay_at_partner_coordinate():
     sig = coord_at(28.0, 14.0, crystal.omega_from_nm(690.0))
     idl = phasematch.conjugate(sig, LI.pump)
