@@ -150,15 +150,17 @@ def cmd_fit(args):
         line = rc.fit_line
     fit = maps.fit_quadratic_profile(grid, line)
     thetas_deg = np.degrees(fit.thetas)
-    slope_deg_per_deg = np.radians(1.0) * fit.slope(fit.thetas)
+    slope_per_deg = np.radians(1.0) * fit.slope(fit.thetas)
     meta = {"line": line,
             "c0": fit.c0, "c1": fit.c1, "c2": fit.c2,
             "rms_residual": fit.rms_residual}
     out = args.out or "fit_profile.csv"
+    # the fitted column's name, and its unit (after the last "_") per degree
+    name = grid.value_names[0]
     mapio.write_profile_csv(
         out, __version__,
-        ("theta_deg", "phase_deg", "slope_deg_per_deg"),
-        (thetas_deg, fit.samples, slope_deg_per_deg), meta)
+        ("theta_deg", name, f"slope_{name.rpartition('_')[2]}_per_deg"),
+        (thetas_deg, fit.samples, slope_per_deg), meta)
     print(f"wrote {out} ({len(thetas_deg)} samples along {line})")
     print(f"  quadratic c0 = {fit.c0:.4f}, c1 = {fit.c1:.4f}, "
           f"c2 = {fit.c2:.4f}  (value vs polar angle in rad)")

@@ -254,14 +254,15 @@ def build_run_config(flat):
                           key="tilt.n_samples")
 
     line = canon["fit.line"]
-    if line not in ("y=0", "x=0"):
+    for mode in maps._COORDS:  # a line of any grid mode; fit checks its own
         try:
-            maps._line_azimuth(line)
+            maps._line_target(mode, line)
+            break
         except FitError:
-            raise ConfigError(
-                f"line must be 'y=0', 'x=0' or 'phi=<degrees>' with finite "
-                f"degrees, got {line!r}",
-                key="fit.line") from None
+            pass
+    else:
+        raise ConfigError(f"line must be 'y=0', 'x=0' or 'phi=<degrees>' "
+                          f"with finite degrees, got {line!r}", key="fit.line")
 
     return RunConfig(
         source=source, grid=grid, filter_nm=filter_nm,

@@ -192,19 +192,20 @@ def _write_table(path, title, fields, meta, shape, ncols, fill):
     memory is bounded by one block, not by the file.
     """
     ny, nx = shape
-    rows = max(1, maps._CHUNK_CELLS // nx)
+    blocks = maps._row_blocks(ny, nx)
     lines = [f"# {title}"]
     lines += (f"# {key}: {value}" for key, value in fields)
     lines.append("# meta: " + json.dumps(meta, sort_keys=True,
                                          separators=(",", ":")))
     ends = np.full(ncols, ord(","), np.uint8)
     ends[-1] = ord("\n")
-    chars = np.empty((rows * nx, ncols, 4), _WORD)
+    # the first block is the largest; a profile may have no rows
+    chars = np.empty((blocks[0][1] * nx if blocks else 0, ncols, 4), _WORD)
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-        for i in range(0, ny, rows):
-            k = (min(i + rows, ny) - i) * nx
-            fill(i, i + rows, chars[:k])
+        for i, j in blocks:
+            k = (j - i) * nx
+            fill(i, j, chars[:k])
             text = chars[:k].view(np.uint8)
             text[:, :, 31] = ends
             fh.write(text[text != 0])
@@ -270,8 +271,9 @@ def read_map_csv(path):
     map, lacks a header field, has a shape that is not a grid of 1 to
     2^24 cells or that with its columns is more than 2^26 values, names
     fewer than two coordinate and one value column, has a meta line
-    that is not a JSON object, has missing, extra or ragged rows, or
-    holds a non-numeric cell raises DataFormatError naming the path.
+    that is not a JSON object, names an unknown grid mode, has missing,
+    extra or ragged rows, or holds a non-numeric cell raises
+    DataFormatError naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -310,6 +312,8 @@ def _read_map(path, fh):
                               f"fewer than two coordinates and a value")
     if not isinstance(meta, dict):
         raise DataFormatError(f"{path}: meta line is not a JSON object")
+    if mode not in maps._COORDS:
+        raise DataFormatError(f"{path}: unknown grid mode {mode!r}")
     n, ncols = ny * nx, len(cols)
     # the widest map a sweep writes is a delay map at the cap
     if n * ncols > 4 * maps._MAX_CELLS:

@@ -26,6 +26,7 @@ sine rounding to 1).  No pointwise call raises RefractionError.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,6 +39,9 @@ from .vecgeom import _Transit
 
 DETECTION_MODE = "detection_plane_xy"
 ANGULAR_MODE = "angular_theta_phi"
+# each grid mode's (coord1, coord2) names
+_COORDS = {DETECTION_MODE: ("x_mm", "y_mm"),
+           ANGULAR_MODE: ("theta_deg", "phi_deg")}
 
 GROUP_ALONG_RAY = "ray"
 GROUP_ALONG_WAVEVECTOR = "wavevector"
@@ -94,6 +98,18 @@ class SourceConfig:
                      for c in (self.crystal1, self.crystal2))
 
     @cached_property
+    def _phase_offset(self):
+        """The phase (radians) every cell shares: the pump's offset, plus
+        with include_z_offset_phase the birth-plane propagation phase
+        (omega_s + omega_i) offset / c, where omega_s + omega_i = omega_p."""
+        if not self.include_z_offset_phase:
+            return self.pump.phase_offset
+        d1, d2 = self.crystal1.length_mm, self.crystal2.length_mm
+        offset = d1 + self.mu * (d2 - d1)
+        shift = self.pump.omega * (offset * 1e6 / C_NM_FS)
+        return self.pump.phase_offset + shift
+
+    @cached_property
     def pump_group_e(self):
         """The pump's extraordinary group index in each crystal, at the
         axis angle of its pump_states entry."""
@@ -137,11 +153,7 @@ def _phase_values(source, w_s, sx, sy):
         t = _Transit(spec2, w, ax, ay)
         term = t.n * t.cos_rho + t.rx * ax + t.ry * ay
         total = total + (w * d2 * 1e6 / (C_NM_FS * t.rz)) * term
-    if source.include_z_offset_phase:
-        d1 = source.crystal1.length_mm
-        offset = d1 + source.mu * (d2 - d1)
-        total = total + (w_s + w_i) * (offset * 1e6 / C_NM_FS)
-    return total + source.pump.phase_offset
+    return total + source._phase_offset
 
 
 def _group_e_effective(source, w, transit):
@@ -271,7 +283,7 @@ class GridSpec:
         if self.nx * self.ny > _MAX_CELLS:  # before any plane is allocated
             raise ConfigError(f"{self.nx} x {self.ny} cells exceed the cap "
                               f"of 2^24 = {_MAX_CELLS}", key="grid")
-        if self.mode not in (DETECTION_MODE, ANGULAR_MODE):
+        if self.mode not in _COORDS:
             raise ConfigError(f"unknown grid mode {self.mode!r}", key="grid.mode")
         spans = (self.x_max - self.x_min, self.y_max - self.y_min)
         if not all(map(math.isfinite, spans)):  # linspace steps by them
@@ -323,17 +335,6 @@ class MapGrid:
                 and all(eq(a, b) for a, b in zip(self.values, other.values)))
 
 
-def _grid_transverse(source, grid_spec, xs, rows_y):
-    """Transverse direction components for a block of grid rows, shape
-    (len(rows_y), len(xs))."""
-    xs = xs[np.newaxis, :]
-    rows_y = rows_y[:, np.newaxis]
-    if grid_spec.mode == DETECTION_MODE:
-        return vecgeom._transverse(*vecgeom.detection_point_to_angles(
-            xs, rows_y, source.detection_distance_mm))
-    return vecgeom._transverse(np.deg2rad(xs), np.deg2rad(rows_y))
-
-
 def _default_workers():
     """min(4, cpu count), kept for callers that report it.  Sweeps run
     serially and ignore their workers argument."""
@@ -344,6 +345,14 @@ def _default_workers():
 # cells per sweep block: whole rows, enough of them to amortize the
 # per-call overhead of the array kernels while the temporaries stay small
 _CHUNK_CELLS = 8192
+
+
+def _row_blocks(ny, nx):
+    """(start, stop) row bounds of the blocks a (ny, nx) grid is swept and
+    written in: _CHUNK_CELLS cells of whole rows, or one row, the first
+    block the largest."""
+    rows = max(1, _CHUNK_CELLS // nx)
+    return [(i, min(i + rows, ny)) for i in range(0, ny, rows)]
 
 
 def _phase_planes(source, w_s, sx, sy):
@@ -359,23 +368,25 @@ def _sweep(source, grid_spec, filter_center_nm, kind, value_names, kernel):
     """MapGrid of the kernel's planes, evaluated at the filter's signal
     frequency (degenerate when filter_center_nm is None) on blocks of
     whole grid rows."""
-    w_s = (crystal.omega_from_nm(filter_center_nm) if filter_center_nm
-           else 0.5 * source.pump.omega)
+    filter_nm = filter_center_nm or 2.0 * source.pump.wavelength_nm
+    w_s = crystal.omega_from_nm(filter_nm)
     xs, ys = grid_spec.axes()
     planes = [np.empty((grid_spec.ny, grid_spec.nx)) for _ in value_names]
-    rows = max(1, _CHUNK_CELLS // grid_spec.nx)
-    for i in range(0, grid_spec.ny, rows):
-        sx, sy = _grid_transverse(source, grid_spec, xs, ys[i:i + rows])
+    for i, j in _row_blocks(grid_spec.ny, grid_spec.nx):
+        x, y = xs[np.newaxis, :], ys[i:j, np.newaxis]
+        if grid_spec.mode == DETECTION_MODE:
+            theta, phi = vecgeom.detection_point_to_angles(
+                x, y, source.detection_distance_mm)
+        else:
+            theta, phi = np.deg2rad(x), np.deg2rad(y)
+        sx, sy = vecgeom._transverse(theta, phi)
         for plane, vals in zip(planes, kernel(source, w_s, sx, sy)):
-            plane[i:i + rows] = vals
-    meta = {"source": source_snapshot(source),
-            "filter_nm": (filter_center_nm if filter_center_nm
-                          else 2.0 * source.pump.wavelength_nm)}
-    coord_names = (("x_mm", "y_mm") if grid_spec.mode == DETECTION_MODE
-                   else ("theta_deg", "phi_deg"))
+            plane[i:j] = vals
+    meta = {"source": source_snapshot(source), "filter_nm": filter_nm}
     return MapGrid(kind=kind, mode=grid_spec.mode, coord1=xs, coord2=ys,
-                   coord_names=coord_names, value_names=value_names,
-                   values=tuple(planes), metadata=meta)
+                   coord_names=_COORDS[grid_spec.mode],
+                   value_names=value_names, values=tuple(planes),
+                   metadata=meta)
 
 
 def sweep_phase_map(source, grid_spec, filter_center_nm=None, workers=None):
@@ -423,29 +434,25 @@ class QuadraticFit:
         return float(np.nanmax(self.samples) - np.nanmin(self.samples))
 
 
-def _line_azimuth(line):
-    """Degrees of a "phi=<degrees>" line spec; FitError unless it has
-    that form with a finite number."""
+def _line_target(mode, line):
+    """(axis, value) of a line spec on a map of the given mode: the line
+    holds coordinate axis (0 for coord1, 1 for coord2) at the grid value
+    nearest value.  "y=0" or "x=0" on a detection-plane map, "phi=<degrees>"
+    with finite degrees on an angular one; FitError for any other spec."""
+    if mode == DETECTION_MODE:
+        if line not in ("y=0", "x=0"):
+            raise FitError(
+                f"unknown line spec {line!r} for a detection-plane map")
+        return (1 if line == "y=0" else 0), 0.0
     if not line.startswith("phi="):
         raise FitError(f"unknown line spec {line!r} for an angular map")
     try:
-        target = float(line[4:])
+        value = float(line[4:])
     except ValueError:
-        target = math.nan
-    if not math.isfinite(target):
+        value = math.nan
+    if not math.isfinite(value):
         raise FitError(f"bad azimuth in line spec {line!r}")
-    return target
-
-
-def _line_target(mode, line):
-    """What a line spec selects on a map of the given mode: "y=0" or "x=0"
-    itself on a detection-plane map, the azimuth in degrees of
-    "phi=<degrees>" on an angular one; FitError for any other spec."""
-    if mode != DETECTION_MODE:
-        return _line_azimuth(line)
-    if line not in ("y=0", "x=0"):
-        raise FitError(f"unknown line spec {line!r} for a detection-plane map")
-    return line
+    return 1, value
 
 
 def profile_line(grid, line):
@@ -454,18 +461,22 @@ def profile_line(grid, line):
     line is "y=0" or "x=0" for detection-plane maps, "phi=<degrees>" (a
     finite number) for angular maps; the nearest grid row/column is used.
     """
-    target = _line_target(grid.mode, line)
+    axis, value = _line_target(grid.mode, line)
+    coords = (grid.coord1, grid.coord2)
+    i = int(np.argmin(np.abs(coords[axis] - value)))
+    vals = grid.values[0][i, :] if axis else grid.values[0][:, i]
+    along = coords[1 - axis]
     if grid.mode != DETECTION_MODE:
-        i = int(np.argmin(np.abs(grid.coord2 - target)))
-        return np.deg2rad(grid.coord1), grid.values[0][i, :]
-    L = grid.metadata.get("source", {}).get("detection_distance_mm")
-    if L is None:
-        raise FitError("grid metadata lacks the detection distance")
-    if line == "y=0":
-        i = int(np.argmin(np.abs(grid.coord2)))
-        return np.arctan(grid.coord1 / L), grid.values[0][i, :]
-    j = int(np.argmin(np.abs(grid.coord1)))
-    return np.arctan(grid.coord2 / L), grid.values[0][:, j]
+        return np.deg2rad(along), vals
+    # read from a file's metadata: a number in (0, max float], not a bool
+    source = grid.metadata.get("source")
+    L = (source.get("detection_distance_mm") if isinstance(source, dict)
+         else None)
+    if (isinstance(L, bool) or not isinstance(L, (int, float))
+            or not 0.0 < L <= sys.float_info.max):
+        raise FitError("grid metadata lacks the detection distance (a "
+                       f"finite positive number, got {L!r})")
+    return np.arctan(along / float(L)), vals
 
 
 def fit_quadratic_profile(grid, line="y=0"):

@@ -896,6 +896,79 @@ def test_cli_fit_from_config_and_from_profile(tmp_path, li_cfg, capsys):
                                                   rel=1e-9)
 
 
+def test_cli_fit_profile_of_a_delay_map_names_its_columns(tmp_path, li_cfg,
+                                                          capsys):
+    dm = tmp_path / "dm.csv"
+    assert cli.main(["delay-map", "--config", li_cfg, "--grid", "33x33",
+                     "--out", str(dm)]) == 0
+    capsys.readouterr()
+    prof = tmp_path / "prof.csv"
+    assert cli.main(["fit", "--profile", str(dm), "--out", str(prof)]) == 0
+    header = prof.read_text().splitlines()
+    cols = next(l for l in header if l.startswith("# columns:"))
+    assert cols.split(": ")[1] == "theta_deg,dt_s_fs,slope_fs_per_deg"
+    grid = mapio.read_map_csv(str(dm))
+    fit = maps.fit_quadratic_profile(grid)
+    theta, dt, slope = np.loadtxt(str(prof), delimiter=",", comments="#",
+                                  unpack=True)
+    assert np.array_equal(dt, grid.values[0][16])  # the y = 0 row
+    assert np.array_equal(theta, np.degrees(fit.thetas))
+    assert np.array_equal(slope, np.radians(1.0) * fit.slope(fit.thetas))
+
+
+# meta lines whose detection distance fit cannot use
+_BAD_DISTANCES = {
+    "missing": '{"filter_nm": 702.2}',
+    "source-not-object": '{"source": 5}',
+    "text": '{"source": {"detection_distance_mm": "abc"}}',
+    "zero": '{"source": {"detection_distance_mm": 0}}',
+    "negative": '{"source": {"detection_distance_mm": -1200}}',
+    "bool": '{"source": {"detection_distance_mm": true}}',
+    "nan": '{"source": {"detection_distance_mm": NaN}}',
+    "inf": '{"source": {"detection_distance_mm": 1e999}}',
+}
+
+
+@pytest.mark.parametrize("meta", _BAD_DISTANCES.values(),
+                         ids=_BAD_DISTANCES.keys())
+def test_cli_fit_needs_a_finite_positive_detection_distance(tmp_path, li_cfg,
+                                                            capsys, meta):
+    pm = tmp_path / "pm.csv"
+    assert cli.main(["phase-map", "--config", li_cfg, "--grid", "9x3",
+                     "--out", str(pm)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(_with_meta(meta)(pm.read_text().splitlines()))
+                   + "\n")
+    out = tmp_path / "fit.csv"
+    for line in ("y=0", "x=0"):
+        assert cli.main(["fit", "--profile", str(bad), "--line", line,
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "no solution: grid metadata lacks the detection distance")
+        assert "Traceback" not in err and not out.exists()
+
+
+def test_cli_fit_on_an_unknown_grid_mode_exits_io(tmp_path, li_cfg, capsys):
+    pm = tmp_path / "pm.csv"
+    assert cli.main(["phase-map", "--config", li_cfg, "--grid", "9x3",
+                     "--out", str(pm)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(pm.read_text().replace(f"# mode: {maps.DETECTION_MODE}\n",
+                                          "# mode: bogus\n"))
+    with pytest.raises(DataFormatError, match="unknown grid mode 'bogus'"):
+        mapio.read_map_csv(str(bad))
+    out = tmp_path / "fit.csv"
+    for line in ("y=0", "phi=0"):
+        assert cli.main(["fit", "--profile", str(bad), "--line", line,
+                         "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {bad}: unknown grid mode")
+        assert "Traceback" not in err and not out.exists()
+
+
 def test_cli_fit_rejects_a_non_finite_azimuth(tmp_path, li_cfg, capsys):
     pm = tmp_path / "ang.csv"
     angular = ["--set", "grid.mode=angular_theta_phi", "--set", "grid.x_min=-2",

@@ -112,6 +112,22 @@ def test_phase_rejects_impossible_partner():
         maps.relative_phase(LI, EmissionCoord(LI.pump.omega * 1.5, 0.01, 0.0))
 
 
+def test_pointwise_photon_grazing_the_face_is_a_named_error():
+    # the largest polar angle below 90 degrees: its sine rounds to 1
+    theta = math.nextafter(math.pi / 2, 0.0)
+    assert math.sin(theta) == 1.0
+    for source, w in ((LI, W_LI), (BBO, W_BBO)):
+        coord = EmissionCoord(w, theta, 0.0)
+        for call in (maps.time_delay, maps.time_intervals):
+            with pytest.raises(KinematicsError,
+                               match="^photon grazes the face$"):
+                call(source, coord, "s")
+        # the partner's check comes first
+        with pytest.raises(KinematicsError,
+                           match="^partner photon is evanescent in air"):
+            maps.relative_phase(source, coord)
+
+
 # --------------------------------------------------- intervals and delay
 
 def test_delay_frozen_values():
