@@ -140,8 +140,9 @@ def cmd_fit(args):
             raise ConfigError("fit needs --profile or --config")
         rc = _load_run(args)
         try:
-            # the line must exist on the grid's mode before the sweep runs
-            maps._line_target(rc.grid.mode, rc.fit_line)
+            # the line must exist on the grid's mode, inside its window,
+            # before the sweep runs
+            maps._line_index(rc.grid.mode, rc.grid.axes(), rc.fit_line)
         except FitError as exc:
             raise ConfigError(str(exc), key="fit.line") from None
         grid = maps.sweep_phase_map(rc.source, rc.grid,

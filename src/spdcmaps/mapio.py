@@ -271,9 +271,10 @@ def read_map_csv(path):
     map, lacks a header field, has a shape that is not a grid of 1 to
     2^24 cells or that with its columns is more than 2^26 values, names
     fewer than two coordinate and one value column, has a meta line
-    that is not a JSON object, names an unknown grid mode, has missing,
-    extra or ragged rows, or holds a non-numeric cell raises
-    DataFormatError naming the path.
+    that is not a JSON object, names an unknown grid mode or map kind
+    (maps._KINDS), has columns other than the mode's coordinates and the
+    kind's values, has missing, extra or ragged rows, or holds a
+    non-numeric cell raises DataFormatError naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -315,10 +316,15 @@ def _read_map(path, fh):
     if mode not in maps._COORDS:
         raise DataFormatError(f"{path}: unknown grid mode {mode!r}")
     n, ncols = ny * nx, len(cols)
-    # the widest map a sweep writes is a delay map at the cap
-    if n * ncols > 4 * maps._MAX_CELLS:
+    # the widest map a sweep writes, its widest kind at the cap
+    widest = 2 + max(len(names) for names, _ in maps._KINDS.values())
+    if n * ncols > widest * maps._MAX_CELLS:
         raise DataFormatError(f"{path}: shape {ny} x {nx} with {ncols} "
                               f"columns is more than 2^26 values")
+    if kind not in maps._KINDS:
+        raise DataFormatError(f"{path}: unknown map kind {kind!r}")
+    if cols != maps._COORDS[mode] + maps._KINDS[kind][0]:
+        raise DataFormatError(f"{path}: columns unlike a {mode} {kind} map")
     commas = ncols - 1
     bad_shape = DataFormatError(
         f"{path}: expected {n} rows of {ncols} columns")

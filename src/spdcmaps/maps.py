@@ -364,10 +364,16 @@ def _delay_planes(source, w_s, sx, sy):
         source, *phasematch._partner(source.pump, w_s, sx, sy)))
 
 
-def _sweep(source, grid_spec, filter_center_nm, kind, value_names, kernel):
-    """MapGrid of the kernel's planes, evaluated at the filter's signal
+# each map kind's (value-column names, plane kernel), beside _COORDS
+_KINDS = {"phase": (("phase_deg",), _phase_planes),
+          "delay": (("dt_s_fs", "dt_i_fs"), _delay_planes)}
+
+
+def _sweep(source, grid_spec, filter_center_nm, kind):
+    """MapGrid of the kind's planes, evaluated at the filter's signal
     frequency (degenerate when filter_center_nm is None) on blocks of
     whole grid rows."""
+    value_names, kernel = _KINDS[kind]
     filter_nm = filter_center_nm or 2.0 * source.pump.wavelength_nm
     w_s = crystal.omega_from_nm(filter_nm)
     xs, ys = grid_spec.axes()
@@ -396,16 +402,14 @@ def sweep_phase_map(source, grid_spec, filter_center_nm=None, workers=None):
     means degenerate (twice the pump wavelength).  workers is accepted
     for compatibility and has no effect: the sweep runs on one thread.
     """
-    return _sweep(source, grid_spec, filter_center_nm, "phase",
-                  ("phase_deg",), _phase_planes)
+    return _sweep(source, grid_spec, filter_center_nm, "phase")
 
 
 def sweep_delay_map(source, grid_spec, filter_center_nm=None, workers=None):
     """Time-delay map: per cell, the delay of the photon detected there
     behind the filter (dt_s_fs) and the delay of its conjugate partner
     (dt_i_fs).  workers has no effect, as in sweep_phase_map."""
-    return _sweep(source, grid_spec, filter_center_nm, "delay",
-                  ("dt_s_fs", "dt_i_fs"), _delay_planes)
+    return _sweep(source, grid_spec, filter_center_nm, "delay")
 
 
 # ---------------------------------------------------------------- analysis
@@ -455,15 +459,31 @@ def _line_target(mode, line):
     return 1, value
 
 
+def _line_index(mode, coords, line):
+    """(axis, index) of a line spec's grid line on the (coord1, coord2)
+    axes of a grid of the given mode: the one nearest the spec's value.
+    FitError, beyond _line_target's, where that value lies outside the
+    axis span widened by half a grid step (on a one-value axis, anywhere
+    but that value)."""
+    axis, value = _line_target(mode, line)
+    along = coords[axis]
+    lo, hi = float(np.min(along)), float(np.max(along))
+    half = (hi - lo) / (2 * max(len(along) - 1, 1))
+    if not lo - half <= value <= hi + half:
+        raise FitError(f"line {line!r} lies outside the map's "
+                       f"{_COORDS[mode][axis]} window [{lo:g}, {hi:g}]")
+    return axis, int(np.argmin(np.abs(along - value)))
+
+
 def profile_line(grid, line):
     """Extract (signed polar angle rad, values) along a map line.
 
     line is "y=0" or "x=0" for detection-plane maps, "phi=<degrees>" (a
-    finite number) for angular maps; the nearest grid row/column is used.
+    finite number) for angular maps; the nearest grid row/column is used,
+    and a line outside the map's window is a FitError (_line_index).
     """
-    axis, value = _line_target(grid.mode, line)
     coords = (grid.coord1, grid.coord2)
-    i = int(np.argmin(np.abs(coords[axis] - value)))
+    axis, i = _line_index(grid.mode, coords, line)
     vals = grid.values[0][i, :] if axis else grid.values[0][:, i]
     along = coords[1 - axis]
     if grid.mode != DETECTION_MODE:

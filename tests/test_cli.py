@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdcmaps import cli, compensation, config, mapio, maps, phasematch
-from spdcmaps.errors import ConfigError, DataFormatError
+from spdcmaps.errors import ConfigError, DataFormatError, FitError
 
 LI_CFG = """\
 pump.wavelength_nm: 351.1
@@ -967,6 +967,101 @@ def test_cli_fit_on_an_unknown_grid_mode_exits_io(tmp_path, li_cfg, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"i/o error: {bad}: unknown grid mode")
         assert "Traceback" not in err and not out.exists()
+
+
+def _relabel(key, value):
+    return lambda text: "".join(
+        f"# {key}: {value}\n" if line.startswith(f"# {key}: ") else line
+        for line in text.splitlines(keepends=True))
+
+
+# map headers whose kind or columns are not a pair the sweeps write
+_RELABELLED = {
+    "unknown-kind": ("phase-map", _relabel("kind", "bogus"),
+                     "unknown map kind 'bogus'"),
+    "angular-names": ("phase-map",
+                      _relabel("columns", "theta_deg,phi_deg,phase_deg"),
+                      "columns unlike a detection_plane_xy phase map"),
+    "delay-as-phase": ("delay-map", _relabel("kind", "phase"),
+                       "columns unlike a detection_plane_xy phase map"),
+    "delay-names": ("phase-map", _relabel("columns", "x_mm,y_mm,dt_s_fs"),
+                    "columns unlike a detection_plane_xy phase map"),
+}
+
+
+@pytest.mark.parametrize("command, relabel, message", _RELABELLED.values(),
+                         ids=_RELABELLED.keys())
+def test_cli_fit_on_a_relabelled_map_exits_io(tmp_path, li_cfg, capsys,
+                                              command, relabel, message):
+    # each read back with exit 0 before the reader checked kind and columns
+    written = tmp_path / "m.csv"
+    assert cli.main([command, "--config", li_cfg, "--grid", "9x3",
+                     "--out", str(written)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(relabel(written.read_text()))
+    with pytest.raises(DataFormatError, match=message) as exc:
+        mapio.read_map_csv(str(bad))
+    assert str(exc.value).startswith(f"{bad}: ")
+    out = tmp_path / "fit.csv"
+    assert cli.main(["fit", "--profile", str(bad), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {bad}: ")
+    assert "Traceback" not in err and not out.exists()
+
+
+_ANGULAR_WINDOW = ["--set", "grid.mode=angular_theta_phi",
+                   "--set", "grid.x_min=0", "--set", "grid.x_max=10",
+                   "--set", "grid.y_min=-90", "--set", "grid.y_max=90"]
+_Y_WINDOW = ["--set", "grid.y_min=20", "--set", "grid.y_max=60"]
+
+
+@pytest.mark.parametrize("window, line", [
+    (_ANGULAR_WINDOW, "phi=270"),   # the -90 row, but not inside the window
+    (_ANGULAR_WINDOW, "phi=-450"),
+    (_ANGULAR_WINDOW, "phi=135.001"),   # half the 90 degree step past 90
+    (_Y_WINDOW, "y=0")], ids=["phi-270", "phi-minus-450", "phi-past-half",
+                              "y-below"])
+def test_cli_fit_line_outside_the_window_is_a_named_error(
+        tmp_path, li_cfg, capsys, monkeypatch, window, line):
+    # before the check the nearest row was fitted, and fit exited 0
+    pm = tmp_path / "pm.csv"
+    assert cli.main(["phase-map", "--config", li_cfg, "--grid", "9x3",
+                     "--out", str(pm), *window]) == 0
+    capsys.readouterr()
+    out = tmp_path / "fit.csv"
+    assert cli.main(["fit", "--profile", str(pm), "--line", line,
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"no solution: line {line!r} lies outside")
+    assert "Traceback" not in err and not out.exists()
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before the line was checked")
+    monkeypatch.setattr(maps, "sweep_phase_map", no_sweep)
+    assert cli.main(["fit", "--config", li_cfg, "--grid", "9x3",
+                     "--out", str(out), *window, "--line", line]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: fit.line: line {line!r} "
+                          f"lies outside")
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_fit_line_window_is_the_span_and_half_a_step():
+    xs = np.linspace(-60.0, 60.0, 9)
+    mode = maps.ANGULAR_MODE
+    for line, index in (("phi=135", 2), ("phi=-135", 0), ("phi=44", 1)):
+        assert maps._line_index(
+            mode, (xs, np.array([-90.0, 0.0, 90.0])), line) == (1, index)
+    # a one-value axis holds only its own line
+    assert maps._line_index(mode, (xs, np.array([30.0])), "phi=30") == (1, 0)
+    for line in ("phi=30.0000001", "phi=29.9999999"):
+        with pytest.raises(FitError, match="outside the map's phi_deg"):
+            maps._line_index(mode, (xs, np.array([30.0])), line)
+    detection = maps.DETECTION_MODE
+    assert maps._line_index(detection, (xs, xs), "x=0") == (0, 4)
+    with pytest.raises(FitError, match="outside the map's y_mm window"):
+        maps._line_index(detection, (xs, xs + 68.0), "y=0")
 
 
 def test_cli_fit_rejects_a_non_finite_azimuth(tmp_path, li_cfg, capsys):
