@@ -1,9 +1,10 @@
 """Print the exact bits of the pointwise calls at fixed coordinates.
 
 For each shipped source (the 52 deg tilt with its crystal axes co-rotated
-by compensation.constrained_pump_state) and about ten fixed air-side
-coordinates, print float.hex() of relative_phase, time_delay for both
-photons and time_intervals, or the name of the error a call raises.
+by compensation.constrained_pump_state), and for the BBO one with unequal
+plates and mu = 0.3, at about ten fixed air-side coordinates, print
+float.hex() of relative_phase, time_delay and time_intervals for both
+photons, or the name of the error a call raises.
 Then print float.hex() of both crystals' co-rotated (axis_theta,
 axis_phi) for the 52 deg tilt source at a few pump tilts.  Two checkouts
 agree bitwise at these coordinates and tilts when their outputs are
@@ -31,10 +32,13 @@ TILTED_CELLS = [(50.0, 60.0), (50.0, 90.0), (45.0, 75.0), (55.0, 105.0),
                 (65.0, 120.0), (30.0, 30.0)]
 # pump tilts in degrees, at a tilt azimuth of 90 deg, for the axes
 AXIS_TILTS = [0.0, 7.0, 30.0, 51.2, 60.0, 85.0]
+# unequal plates and an off-centre birth depth, where t1 - t2 != dt
+UNEQUAL = ("crystal2.length_mm=0.8", "source.mu=0.3")
 
 
-def _source(name):
-    rc = config.build_run_config(config.load_config_file(CONFIGS / name))
+def _source(name, overrides=()):
+    flat = config.load_config_file(CONFIGS / name)
+    rc = config.build_run_config(config.apply_overrides(flat, overrides))
     src = rc.source
     if src.pump.theta_p != 0.0:
         src = compensation.constrained_pump_state(src.pump, src)
@@ -51,19 +55,23 @@ def _bits(fn, *args):
 
 
 def main():
-    for name, cells in (("liio3_normal.yaml", NORMAL_CELLS),
-                        ("bbo_normal.yaml", NORMAL_CELLS),
-                        ("bbo_tilt52.yaml", TILTED_CELLS)):
-        src = _source(name)
+    for name, overrides, cells in (
+            ("liio3_normal.yaml", (), NORMAL_CELLS),
+            ("bbo_normal.yaml", (), NORMAL_CELLS),
+            ("bbo_tilt52.yaml", (), TILTED_CELLS),
+            ("bbo_normal.yaml", UNEQUAL, NORMAL_CELLS)):
+        src = _source(name, overrides)
+        label = " ".join((name,) + overrides)
         for theta, phi, *share in cells:
             omega = (share[0] if share else 0.5) * src.pump.omega
             c = EmissionCoord(omega, math.radians(theta), math.radians(phi))
-            print(f"{name} theta={theta} phi={phi} omega={omega.hex()}")
+            print(f"{label} theta={theta} phi={phi} omega={omega.hex()}")
             print("  phase", _bits(maps.relative_phase, src, c))
             for photon in ("s", "i"):
                 print(f"  delay_{photon}",
                       _bits(maps.time_delay, src, c, photon))
             print("  intervals", _bits(maps.time_intervals, src, c))
+            print("  intervals_i", _bits(maps.time_intervals, src, c, "i"))
     src = _source("bbo_tilt52.yaml")
     for tilt in AXIS_TILTS:
         state = compensation.constrained_pump_state(

@@ -15,14 +15,17 @@ Index functions accept scalars or ndarrays.  A scalar wavelength outside a
 material's validity window raises RangeError, array input gets NaN in the
 offending slots.  group_index, walkoff_angle, walkoff_ray and the
 extraordinary refraction take one scalar omega, whose two principal
-indices, and group indices, are memoised per (material, omega): a map
+indices (_indices), and group indices with the two fit slopes they come
+from (_principal_group), are memoised per (material, omega): a map
 needs only a few frequencies, and a sweep outside the window raises
 RangeError too.
 
 The index-surface normal is written once, on components, in
-_ray_components: the map sweeps' transit calls it directly, walkoff_ray
-stacks its output.  A CrystalSpec computes its optic axis once and a
-Material its hash once, since every transit reads both.
+_ray_components, from the axis and indices its caller looked up: the
+map sweeps' transit calls it directly, walkoff_ray stacks its output.
+The ordinary k_z, sqrt(n_o^2 - s^2), is written once, in _ordinary_kz.
+A CrystalSpec computes its optic axis once and a Material its hash once,
+since every transit reads both.
 """
 
 import math
@@ -127,6 +130,13 @@ def _section_index(n_o, n_ep, cos_alpha):
     return 1.0 / _sqrt(ca2 / (n_o * n_o) + (1.0 - ca2) / (n_ep * n_ep))
 
 
+def _ordinary_kz(n_o, sx, sy):
+    """z component, in units of omega / c, of the ordinary wavevector of
+    index n_o that enters from air with transverse components (sx, sy):
+    the one copy of sqrt(n_o^2 - s^2), for arrays or floats."""
+    return _sqrt(n_o * n_o - (sx * sx + sy * sy))
+
+
 def _load_registry_dict(raw):
     def fit(d):
         poles = tuple(
@@ -209,10 +219,12 @@ def _fit_slope(fit, lam, n):
 @lru_cache
 def _principal_group(material, omega):
     """(ordinary, principal extraordinary) group index of a material at one
-    scalar frequency; memoised like _indices."""
+    scalar frequency, then the two fit slopes they come from; memoised
+    like _indices, so group_index's angle path reads the slopes here."""
     lam, nn_o, nn_ep = _indices(material, omega)
-    return (nn_o - lam * _fit_slope(material.ordinary, lam, nn_o),
-            nn_ep - lam * _fit_slope(material.extraordinary, lam, nn_ep))
+    slope_o = _fit_slope(material.ordinary, lam, nn_o)
+    slope_ep = _fit_slope(material.extraordinary, lam, nn_ep)
+    return nn_o - lam * slope_o, nn_ep - lam * slope_ep, slope_o, slope_ep
 
 
 def group_index(material, omega, polarization="o", cos_alpha=None):
@@ -227,16 +239,15 @@ def group_index(material, omega, polarization="o", cos_alpha=None):
     """
     if polarization not in ("o", "e"):
         raise ValueError(f"polarization must be 'o' or 'e', got {polarization!r}")
+    ng_o, ng_ep, slope_o, slope_ep = _principal_group(material, omega)
     if polarization == "o" or cos_alpha is None:
-        ng_o, ng_ep = _principal_group(material, omega)
         return ng_o if polarization == "o" else ng_ep
     lam, nn_o, nn_ep = _indices(material, omega)
     n = _section_index(nn_o, nn_ep, cos_alpha)
     ca2 = cos_alpha * cos_alpha
     slope = (n * n * n) * (
-        ca2 * _fit_slope(material.ordinary, lam, nn_o) / (nn_o * nn_o * nn_o)
-        + (1.0 - ca2) * _fit_slope(material.extraordinary, lam, nn_ep)
-        / (nn_ep * nn_ep * nn_ep))
+        ca2 * slope_o / (nn_o * nn_o * nn_o)
+        + (1.0 - ca2) * slope_ep / (nn_ep * nn_ep * nn_ep))
     return n - lam * slope
 
 
@@ -270,21 +281,21 @@ def walkoff_ray(k_e, crystal_spec, omega):
 def _surface_normal_ray(k, crystal_spec, omega):
     """(ray, cos rho, ray . a, k . a) for unit wavevectors k stacked on the
     last axis; _ray_components on their components."""
+    _, n_o, n_ep = _indices(crystal_spec.material, omega)
     rx, ry, rz, cos_rho, ca_ray, ca = _ray_components(
-        k[..., 0], k[..., 1], k[..., 2], crystal_spec, omega)
+        k[..., 0], k[..., 1], k[..., 2], crystal_spec._axis, n_o, n_ep)
     return np.stack((rx, ry, rz), axis=-1), cos_rho, ca_ray, ca
 
 
-def _ray_components(kx, ky, kz, crystal_spec, omega):
+def _ray_components(kx, ky, kz, axis, n_o, n_ep):
     """(ray x, y, z, cos rho, ray . a, k . a) for unit wavevector components
-    (kx, ky, kz), with a the optic axis and rho the walkoff angle.  The ray
-    is along the index-surface normal g = k / n_e^2 + (1/n_o^2 - 1/n_e^2)
-    (k . a) a.  |g|, cos rho and ray . a are closed forms in k . a, not dot
-    products of the ray, so sub-ulp residue in its components stays out of
-    the group terms."""
-    ax, ay, az = crystal_spec._axis
+    (kx, ky, kz), with a = axis the optic axis, n_o and n_ep the principal
+    indices and rho the walkoff angle.  The ray is along the index-surface
+    normal g = k / n_e^2 + (1/n_o^2 - 1/n_e^2) (k . a) a.  |g|, cos rho and
+    ray . a are closed forms in k . a, not dot products of the ray, so
+    sub-ulp residue in its components stays out of the group terms."""
+    ax, ay, az = axis
     ca = kx * ax + ky * ay + kz * az
-    _, n_o, n_ep = _indices(crystal_spec.material, omega)
     inv_o2 = 1.0 / (n_o * n_o)
     inv_e2 = 1.0 / (n_ep * n_ep)
     A = inv_o2 - inv_e2

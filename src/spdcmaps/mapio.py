@@ -273,8 +273,10 @@ def read_map_csv(path):
     fewer than two coordinate and one value column, has a meta line
     that is not a JSON object, names an unknown grid mode or map kind
     (maps._KINDS), has columns other than the mode's coordinates and the
-    kind's values, has missing, extra or ragged rows, or holds a
-    non-numeric cell raises DataFormatError naming the path.
+    kind's values, has missing, extra or ragged rows, holds a
+    non-numeric cell, or has coordinates that are not a grid (a row's x
+    unlike row 0's, or a y unlike its row's first) raises DataFormatError
+    naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -362,6 +364,13 @@ def _read_map(path, fh):
         row += k
     if row != n:
         raise bad_shape
+    # compared bitwise, since the writer emits the same text for each x
+    # and y; a row at a time, so no plane-sized temporary is made
+    xs, ys = planes[0].view(np.uint64), planes[1].view(np.uint64)
+    for i in range(ny):
+        if not (np.array_equal(xs[i], xs[0]) and (ys[i] == ys[i, 0]).all()):
+            raise DataFormatError(f"{path}: coordinates of row {i} are not "
+                                  f"those of a grid")
     return maps.MapGrid(
         kind=kind, mode=mode, coord1=planes[0, 0], coord2=planes[1, :, 0],
         coord_names=cols[:2], value_names=cols[2:], values=tuple(planes[2:]),

@@ -59,9 +59,10 @@ class SourceConfig:
     onto the wavevector; "wavevector" uses the wavevector's axis cosine
     directly.  The two differ by well under a percent in transit time but
     the difference matters when hunting the self-compensating tilt.
-    pump_states holds both crystals' phasematch.pump_internal_state, solved
-    once on first use (replace() builds a new instance, solved afresh), and
-    pump_group_e the pump's group index in each, computed with them.
+    pump_group_e holds the pump's extraordinary group index in each
+    crystal and _pump_transit1 its ordinary transit through crystal 1,
+    each computed once on first use (replace() builds a new instance,
+    computed afresh).
     """
 
     crystal1: crystal.CrystalSpec
@@ -93,11 +94,6 @@ class SourceConfig:
                 (self.crystal2.axis_theta, self.crystal2.axis_phi))
 
     @cached_property
-    def pump_states(self):
-        return tuple(phasematch.pump_internal_state(self.pump, c)
-                     for c in (self.crystal1, self.crystal2))
-
-    @cached_property
     def _phase_offset(self):
         """The phase (radians) every cell shares: the pump's offset, plus
         with include_z_offset_phase the birth-plane propagation phase
@@ -112,11 +108,19 @@ class SourceConfig:
     @cached_property
     def pump_group_e(self):
         """The pump's extraordinary group index in each crystal, at the
-        axis angle of its pump_states entry."""
-        return tuple(crystal.group_index(c.material, self.pump.omega, "e",
-                                         cos_alpha=math.cos(st.alpha))
-                     for c, st in zip((self.crystal1, self.crystal2),
-                                      self.pump_states))
+        axis angle of its phasematch.pump_internal_state there."""
+        return tuple(crystal.group_index(
+            c.material, self.pump.omega, "e", cos_alpha=math.cos(
+                phasematch.pump_internal_state(self.pump, c).alpha))
+            for c in (self.crystal1, self.crystal2))
+
+    @cached_property
+    def _pump_transit1(self):
+        """The pump's ordinary transit through crystal 1 in fs, d1 n_g / c:
+        the one copy _delay_values and _interval_values read."""
+        c1 = self.crystal1
+        ng_po = crystal._principal_group(c1.material, self.pump.omega)[0]
+        return (1e6 / C_NM_FS) * (c1.length_mm * ng_po)
 
 
 def source_snapshot(source):
@@ -170,14 +174,10 @@ def _delay_values(source, w, sx, sy):
     given transverse direction components; arrays in, array out."""
     t = _Transit(source.crystal2, w, sx, sy)
     ng_eff = _group_e_effective(source, w, t)
-    ng_po = crystal._principal_group(source.crystal1.material,
-                                     source.pump.omega)[0]
-    d1 = source.crystal1.length_mm
     d2 = source.crystal2.length_mm
     # two scaled terms, subtracted last: _interval_values adds this value
     # to t2, so t1 - t2 reproduces it when the plates are equal
-    return (1e6 / C_NM_FS) * (d2 * ng_eff / t.rz) \
-        - (1e6 / C_NM_FS) * (d1 * ng_po)
+    return (1e6 / C_NM_FS) * (d2 * ng_eff / t.rz) - source._pump_transit1
 
 
 def _interval_values(source, w, sx, sy):
@@ -185,21 +185,18 @@ def _interval_values(source, w, sx, sy):
     frequency w located at the given transverse direction components."""
     c1, c2 = source.crystal1, source.crystal2
     mu = source.mu
-    w_p = source.pump.omega
     k = 1e6 / C_NM_FS
-    s2 = sx * sx + sy * sy
     pe, o = [], []
     for c, ng_pe in zip((c1, c2), source.pump_group_e):
         # pump extraordinary up to the birth depth, then the photon
         # ordinary from there to the exit face of its birth crystal
         n_o = crystal._indices(c.material, w)[1]
-        kz_o = crystal._sqrt(n_o * n_o - s2) / n_o
+        kz_o = crystal._ordinary_kz(n_o, sx, sy) / n_o
         ng_o = crystal._principal_group(c.material, w)[0]
         pe.append(k * (mu * c.length_mm * ng_pe))
         o.append(k * ((1.0 - mu) * c.length_mm * ng_o / kz_o))
-    po = k * (c1.length_mm * crystal._principal_group(c1.material, w_p)[0])
     dt = _delay_values(source, w, sx, sy)
-    t2 = (pe[1] + o[1]) + po
+    t2 = (pe[1] + o[1]) + source._pump_transit1
     # equal birth segments cancel exactly, so equal plates give
     # t1 - t2 = dt at working precision
     t1 = t2 + dt + ((pe[0] - pe[1]) + (o[0] - o[1]))

@@ -6,9 +6,10 @@ Energy and transverse-momentum conservation, which planar interfaces
 preserve, is written once, in _partner; the maps, conjugate and the
 mismatch all call it.  The pump enters its extraordinary branch through
 the photons' transit (vecgeom._Transit).  The mismatch is the sum of
-+-omega k_z / c, the pump's k_z the one its transit solved; the ring
-solve feeds it cone points built on plain floats, and only
-degenerate_coord converts to angles.
++-omega k_z / c, the pump's k_z the one its transit solved and the
+photons' crystal._ordinary_kz, on floats or arrays; the ring solve feeds
+it cone points built on plain floats in the pump's cone frame, which a
+PumpConfig builds once, and only degenerate_coord converts to angles.
 """
 
 import math
@@ -59,8 +60,8 @@ class EmissionCoord:
 class PumpConfig:
     """Pump beam: vacuum wavelength (nm), external incidence angles
     (radians), and the initial phase offset between its two polarization
-    components (radians, additive to every relative phase).  omega and
-    transverse_q() are computed once per instance."""
+    components (radians, additive to every relative phase).  omega,
+    transverse_q() and the cone frame are computed once per instance."""
 
     wavelength_nm: float
     theta_p: float = 0.0
@@ -78,6 +79,13 @@ class PumpConfig:
 
     def transverse_q(self):
         return self._q
+
+    @cached_property
+    def _frame(self):
+        """Rows of vecgeom.tilt_rotation(theta_p, phi_p) as float lists: the
+        frame of the emission cone around the pump, which the ring solve
+        and degenerate_coord read."""
+        return vecgeom.tilt_rotation(self.theta_p, self.phi_p).tolist()
 
     def with_tilt(self, theta_p, phi_p):
         return replace(self, theta_p=theta_p, phi_p=phi_p)
@@ -153,15 +161,16 @@ def delta_kappa(signal, pump, crystal_spec):
 
 def _mismatch(pump, spec, state, w_s, sx, sy):
     """delta_kappa (1/mm) for the signal at frequency w_s and air-side
-    components (sx, sy), the pump's state solved: the sum of +-omega k_z / c
-    with the pump's k_z from its transit, sqrt(n_o^2 - s^2) for both photons.
-    Each n_o^2 - s^2 > 0, as n > 1 > s^2 (for s_i, _partner raises else)."""
+    components (sx, sy), floats or arrays, the pump's state solved: the sum
+    of +-omega k_z / c, the pump's k_z from its transit, crystal._ordinary_kz
+    for both photons.  Each n_o^2 - s^2 > 0, as n > 1 > s^2 (for a float
+    s_i, _partner raises else)."""
     w_i, six, siy = _partner(pump, w_s, sx, sy)
     n_s = crystal._indices(spec.material, w_s)[1]
     n_i = crystal._indices(spec.material, w_i)[1]
     return (pump.omega * (state.index * state.wavevector[2])
-            - w_s * math.sqrt(n_s * n_s - (sx * sx + sy * sy))
-            - w_i * math.sqrt(n_i * n_i - (six * six + siy * siy))
+            - w_s * crystal._ordinary_kz(n_s, sx, sy)
+            - w_i * crystal._ordinary_kz(n_i, six, siy)
             ) * 1e6 / C_NM_FS
 
 
@@ -183,7 +192,7 @@ DEGENERATE_SEARCH_BRACKET = (math.radians(0.1), math.radians(15.0))
 
 def _cone_point(frame, delta, phi):
     """Laboratory unit vector d, on floats, of the point (delta, phi) on the
-    cone around the pump (frame: rows of its vecgeom.tilt_rotation).
+    cone around the pump (frame: its PumpConfig._frame).
     KinematicsError where d_z <= 0: the point does not leave the exit face."""
     s = math.sin(delta)
     x, y, z = s * math.cos(phi), s * math.sin(phi), math.cos(delta)
@@ -197,8 +206,7 @@ def _cone_point(frame, delta, phi):
 
 def degenerate_coord(pump, delta, phi):
     """Laboratory coordinate at omega_p/2 of the cone point (delta, phi)."""
-    frame = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p).tolist()
-    ang = vecgeom.angles_from_direction(_cone_point(frame, delta, phi))
+    ang = vecgeom.angles_from_direction(_cone_point(pump._frame, delta, phi))
     return EmissionCoord(omega=0.5 * pump.omega, theta=ang.theta, phi=ang.phi)
 
 
@@ -211,13 +219,12 @@ def degenerate_emission_angle(crystal_spec, pump, phi_target=0.0):
     on DEGENERATE_SEARCH_BRACKET to 1e-12 rad.  NoSolutionError for a
     bracket without a sign change, quoting it in degrees and the mismatch
     at its ends."""
-    frame = vecgeom.tilt_rotation(pump.theta_p, pump.phi_p).tolist()
     state = pump_internal_state(pump, crystal_spec)
     w_half = 0.5 * pump.omega
     lo, hi = DEGENERATE_SEARCH_BRACKET
 
     def mismatch(delta):
-        d = _cone_point(frame, delta, phi_target)
+        d = _cone_point(pump._frame, delta, phi_target)
         return _mismatch(pump, crystal_spec, state, w_half, d[0], d[1])
 
     if abs(mismatch(0.0)) < COLLINEAR_MISMATCH_PER_MM:

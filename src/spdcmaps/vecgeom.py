@@ -221,14 +221,14 @@ class _Transit:
     __slots__ = ("n", "kz", "ca_k", "ca_ray", "cos_rho", "rx", "ry", "rz")
 
     def __init__(self, spec, omega, sx, sy):
-        ax, ay, az = spec._axis
+        axis = ax, ay, az = spec._axis
         _, n_o, n_ep = _indices(spec.material, omega)
         t2 = sx * sx + sy * sy
         t2 = _select(t2 < 1.0, t2, np.nan)
         kz = self.kz = _larger_root(sx * ax + sy * ay, az, t2, n_o, n_ep)[0]
         n = self.n = _sqrt(t2 + kz * kz)
         (self.rx, self.ry, self.rz, self.cos_rho, self.ca_ray,
-         self.ca_k) = _ray_components(sx / n, sy / n, kz / n, spec, omega)
+         self.ca_k) = _ray_components(sx / n, sy / n, kz / n, axis, n_o, n_ep)
 
     @property
     def valid(self):

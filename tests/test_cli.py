@@ -1010,6 +1010,46 @@ def test_cli_fit_on_a_relabelled_map_exits_io(tmp_path, li_cfg, capsys,
     assert "Traceback" not in err and not out.exists()
 
 
+def _set_coordinate(column, row, col, value):
+    # the cell at grid (row, col) of a 9-wide map, rows after 7 header lines
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        cells = lines[7 + 9 * row + col].split(",")
+        cells[column] = value
+        lines[7 + 9 * row + col] = ",".join(cells)
+        return "".join(lines)
+    return edit
+
+
+@pytest.mark.parametrize("edit, row", [
+    (_set_coordinate(0, 4, 2, "17.5"), 4),    # an x unlike row 0's
+    (_set_coordinate(1, 6, 5, "-999"), 6),    # a y unlike its row's first
+    (_set_coordinate(0, 0, 3, "17.5"), 1),    # row 0's own x, the reference
+    (_set_coordinate(1, 3, 0, "-999"), 3),    # a row's first y
+    (_set_coordinate(0, 5, 8, "NA"), 5),
+], ids=["x", "y", "x-of-row-0", "first-y", "x-na"])
+def test_cli_fit_on_a_map_whose_coordinates_are_not_a_grid_exits_io(
+        tmp_path, li_cfg, capsys, edit, row):
+    # each read back with exit 0 before the reader checked the coordinates
+    written = tmp_path / "m.csv"
+    assert cli.main(["phase-map", "--config", li_cfg, "--grid", "9x9",
+                     "--out", str(written)]) == 0
+    capsys.readouterr()
+    assert mapio.read_map_csv(str(written)).values[0].shape == (9, 9)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(edit(written.read_text()))
+    with pytest.raises(DataFormatError,
+                       match=f"coordinates of row {row} are not those of a "
+                             f"grid") as exc:
+        mapio.read_map_csv(str(bad))
+    assert str(exc.value).startswith(f"{bad}: ")
+    out = tmp_path / "fit.csv"
+    assert cli.main(["fit", "--profile", str(bad), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {bad}: ")
+    assert "Traceback" not in err and not out.exists()
+
+
 _ANGULAR_WINDOW = ["--set", "grid.mode=angular_theta_phi",
                    "--set", "grid.x_min=0", "--set", "grid.x_max=10",
                    "--set", "grid.y_min=-90", "--set", "grid.y_max=90"]

@@ -279,3 +279,20 @@ def test_mu_does_not_move_the_root():
             replace(BBO_SRC, mu=mu), PHI,
             theta_range=(math.radians(50.0), math.radians(53.0)), n_samples=2)
         assert math.degrees(root) == pytest.approx(51.22197083, abs=1e-3)
+
+
+def test_tracked_target_builds_the_pump_cone_frame_once(monkeypatch):
+    # the ring solve and the coordinate it returns share the pump's frame
+    def fresh():
+        return compensation.constrained_pump_state(
+            BBO_SRC.pump.with_tilt(math.radians(30.0), PHI), BBO_SRC)
+
+    want = compensation.tracked_target(fresh())
+    state = fresh()
+    calls = []
+    real = vecgeom.tilt_rotation
+    monkeypatch.setattr(vecgeom, "tilt_rotation",
+                        lambda th, ph: calls.append((th, ph)) or real(th, ph))
+    assert compensation.tracked_target(state) == want
+    assert compensation.tracked_target(state) == want
+    assert calls == [(state.pump.theta_p, state.pump.phi_p)]

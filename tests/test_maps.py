@@ -231,6 +231,23 @@ def test_pointwise_transits_compute_one_group_index_per_call(monkeypatch):
             assert len(calls) == 1
 
 
+def test_warm_pointwise_transits_compute_no_fit_slope(monkeypatch):
+    # both fit slopes are fixed per (material, omega) and memoised beside
+    # the principal group indices, where group_index's angle path reads them
+    src = replace(BBO, mu=0.3)
+    runs = [(fn, photon) for fn in (maps.time_intervals, maps.time_delay)
+            for photon in ("s", "i")]
+    for fn, photon in runs:
+        fn(src, coord_at(10.0, 5.0, W_BBO), photon)
+    calls = []
+    real = crystal._fit_slope
+    monkeypatch.setattr(crystal, "_fit_slope",
+                        lambda *a: calls.append(a) or real(*a))
+    for fn, photon in runs:
+        fn(src, coord_at(-20.0, 15.0, W_BBO), photon)
+    assert calls == []
+
+
 def test_partner_delay_is_delay_at_partner_coordinate():
     sig = coord_at(28.0, 14.0, crystal.omega_from_nm(690.0))
     idl = phasematch.conjugate(sig, LI.pump)

@@ -345,6 +345,22 @@ def test_mismatch_matches_the_scalar_oracle(case, theta_deg, phi, frac):
     assert abs(got - want) <= 1e-9
 
 
+def test_mismatch_on_arrays_is_its_float_calls_bitwise():
+    rng = np.random.default_rng(5)
+    tilted = PUMP_405.with_tilt(math.radians(7.0), math.radians(90.0))
+    for spec, pump in ((BBO_SPEC, PUMP_405), (LIIO3_SPEC, PUMP_351),
+                       (BBO_SPEC, tilted)):
+        state = phasematch.pump_internal_state(pump, spec)
+        w_s = 0.48 * pump.omega
+        sx, sy = vecgeom._transverse(rng.uniform(0.0, 0.1, 64),
+                                     rng.uniform(-math.pi, math.pi, 64))
+        got = phasematch._mismatch(pump, spec, state, w_s, sx, sy)
+        want = [phasematch._mismatch(pump, spec, state, w_s, x, y)
+                for x, y in zip(sx.tolist(), sy.tolist())]
+        assert isinstance(got, np.ndarray) and np.isfinite(got).all()
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 # ------------------------------------------------- the ring solve on floats
 
 @settings(max_examples=300, deadline=None)

@@ -346,3 +346,20 @@ def test_detection_point_quadrants():
 def test_detection_point_rejects_bad_distance():
     with pytest.raises(ValueError):
         vecgeom.detection_point_to_angles(1.0, 1.0, 0.0)
+
+
+def test_transit_looks_up_its_dispersion_once(monkeypatch):
+    # the transit hands the indices it read to the surface normal
+    calls = []
+    real = crystal._indices
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(crystal, "_indices", counted)
+    monkeypatch.setattr(vecgeom, "_indices", counted)
+    for sx, sy in ((0.1, -0.2), (np.array([0.0, 0.3]), np.array([0.5, 0.0]))):
+        calls.clear()
+        vecgeom._Transit(BBO_SPEC, W_405, sx, sy)
+        assert calls == [(BBO, W_405)]
