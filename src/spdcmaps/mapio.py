@@ -7,11 +7,11 @@ varying fastest.  Floats carry 17 significant digits, so they read back
 bitwise, and invalid cells are spelled ``NA``.  The same data always
 gives the same bytes; the only timestamp is in the JSON sidecar.
 
-Every float is written as the bytes ``"%.17g" % v`` gives, but numpy
-formats a block of them at once (_format): the digits come from an
-exactly rounded integer, the text from lookup tables.  Ties of the 17th
-digit, infinities and magnitudes outside [1e-280, 1e280] are left to
-``"%.17g"`` itself.
+Every float is written as the bytes ``"%.17g" % v`` gives.  Zeros and
+the floats with 1e-4 <= |v| < 1e16, all fixed notation, numpy formats a
+block at a time (_format): the digits come from an exactly rounded
+integer, the text from lookup tables.  Ties of the 17th digit and every
+other value, infinities included, are left to ``"%.17g"`` itself.
 
 Files are written a block of grid rows at a time and read a block of
 text at a time, so memory does not grow with the file: the writer holds
@@ -43,14 +43,13 @@ _READ_CHARS = 1 << 16
 
 # A float's text is built in a slot of 32 bytes, four little-endian words:
 #   bytes 0-6    '-', after it the "0." and zeros of exponents -4 to -1
-#   bytes 7-24   the 17 significant digits, the point after digit E in
-#                fixed notation, after the first in exponent notation
-#   bytes 26-30  the exponent, e+XX or e-XXX;  byte 31  ',' or '\n'
-# Bytes not written are NUL.  As in %g, E is the decimal exponent of the
-# rounded value, -4 <= E < 17 is fixed notation, and trailing zeros after
-# the point are dropped, the point with them where no digit follows.
+#   bytes 7-24   the 17 significant digits, the point after digit E + 1
+#                where 0 <= E < 16;  byte 31  ',' or '\n'
+# Bytes not written are NUL.  E is the decimal exponent of the value,
+# -4 <= E < 16, all fixed notation in %g, and as in %g trailing zeros
+# after the point are dropped, the point with them where no digit follows.
 _WORD = np.dtype("<u8")
-_E_MAX = 282        # |E| of 1e-280 to 1e280, estimated one off or rounded up
+_E_MIN, _E_MAX = -4, 16     # E of [1e-4, 1e16), and an estimate one high
 _SPLIT = 134217729.0        # 2^27 + 1, Dekker's splitter
 
 
@@ -62,36 +61,31 @@ def _words(raw):
 @lru_cache(maxsize=1)
 def _tables():
     """The formatter's lookup tables, built on first use.  Per E: 10^(16 -
-    E) as a double pair (hi, lo) with hi split, the words around the
-    digits, and how many digits may be dropped and follow the point; per
-    4-digit group its ASCII and trailing zeros; per count of digits
-    dropped, the masks of the digits kept."""
-    exps = range(-_E_MAX, _E_MAX + 1)
+    E), an exact double, and its split, the words around the digits, and
+    how many digits may be dropped and follow the point; per 4-digit
+    group its ASCII and trailing zeros; per count of digits dropped, the
+    masks of the digits kept."""
+    exps = range(_E_MIN, _E_MAX + 1)
     scale, digits = [], []
     # per E: the bytes around the digits and the minus sign, and masks of
     # the digits that stay and of those moved up a byte past the point
     base, minus, same, moved = (bytearray(32 * len(exps)) for _ in range(4))
     for o, e in zip(itertools.count(0, 32), exps):
-        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
-        hi = num / den  # correctly rounded, and so is the rest
-        n, d = hi.as_integer_ratio()
+        hi = float(10 ** (16 - e))  # 10^0 to 10^20: exact
         split = hi * _SPLIT
         top = split - (split - hi)
-        scale.append((hi, (num * d - n * den) / (den * d), top, hi - top))
-        fixed = -4 <= e <= 16
-        start = 6 + e if -4 <= e < 0 else 7  # first byte after the sign
-        point = 8 + e if 0 <= e < 16 else 24 if fixed else 8  # 24: none
-        exp = b"" if fixed else b"e%+03d" % e
+        scale.append((hi, top, hi - top))
+        start = 6 + e if e < 0 else 7  # first byte after the sign
+        point = 8 + e if 0 <= e < 16 else 24  # 24: none among the digits
         minus[o + start - 1] = ord("-")
         base[o + start:o + 8] = b"0.000"[:7 - start] + b"0"
         if point < 24:
             base[o + point] = ord(".")
-        base[o + 31 - len(exp):o + 31] = exp
         same[o + 8:o + point] = b"\xff" * (point - 8)
         moved[o + point + 1:o + 25] = b"\xff" * (24 - point)
-        # how many of the last 16 digits may be dropped (fixed notation
-        # keeps its integer digits), and how many follow the point
-        digits.append((16 - e if 0 <= e <= 16 else 16, 24 - point))
+        # how many of the last 16 digits may be dropped (the integer
+        # digits stay), and how many follow the point
+        digits.append((min(16, 16 - e), 24 - point))
     # row c keeps all but the last c of the 17 digits: the masks of the
     # words of digits 1-8 and 9-16
     c, byte = np.ix_(range(17), range(8))
@@ -102,7 +96,7 @@ def _tables():
         zeros[group % 10 ** m == 0] = m
     return SimpleNamespace(
         scale=np.array(scale).T.copy(), digits=np.array(digits).T.copy(),
-        words=np.concatenate((_words(base), _words(minus)[:1],
+        words=np.concatenate((_words(base)[:3], _words(minus)[:1],
                               _words(same)[1:3],
                               _words(moved)[1:4])).copy(),
         kept=kept.view(_WORD)[..., 0],
@@ -112,46 +106,48 @@ def _tables():
 
 
 def _scaled(t, a, i):
-    """p + r = a 10^(16 - E), E at table rows i: p = fl(a hi), and r its
-    exact rounding error (Dekker's product) plus a lo, to within 1e-14."""
-    hi, lo, hi_top, hi_low = np.take(t.scale, i, axis=1)
+    """p + r = a 10^(16 - E) exactly, E at table rows i: p = fl(a 10^(16 -
+    E)) and r its rounding error (Dekker's product)."""
+    hi, hi_top, hi_low = np.take(t.scale, i, axis=1)
     p = a * hi
     split = a * _SPLIT
     top = split - (split - a)
     low = a - top
-    err = ((top * hi_top - p) + top * hi_low + low * hi_top) + low * hi_low
-    return p, err + a * lo
+    return p, ((top * hi_top - p) + top * hi_low + low * hi_top) \
+        + low * hi_low
+
+
+def _fallback(v):
+    """The slot of one float as "%.17g" % v writes it."""
+    return np.frombuffer((b"%.17g" % v).ljust(32, b"\0"), _WORD)
 
 
 def _format(values):
     """The (n, 4) word slots of n floats: the text "%.17g" % v gives, NA
-    for NaN, NUL padded.  |v| is rounded to the 17-digit N = round(|v|
-    10^(16 - E)); within 1e-9 of a tie, or where |v| is nonzero and
-    outside [1e-280, 1e280] (inf included), "%.17g" % v itself fills the
-    slot."""
+    for NaN, NUL padded.  Where 1e-4 <= |v| < 1e16, |v| is rounded to the
+    17-digit N = round(|v| 10^(16 - E)); at a tie of that rounding, and
+    for the other nonzero v (inf included), _fallback fills the slot."""
     t = _tables()
     v = np.asarray(values, dtype=float).ravel()
     chars = np.empty((v.size, 4), _WORD)
     mag = np.abs(v)
-    ok = (mag >= 1e-280) & (mag <= 1e280)
-    with np.errstate(all="ignore"):
-        a = np.where(ok, mag, 1.0)  # 0, NaN and the rest: a placeholder
-        i = np.floor(np.log10(a)).astype(np.intp) + _E_MAX
-        p, r = _scaled(t, a, i)
-        # the estimate of E is one off where p + r is outside [1e16, 1e17)
-        low = (p - 1e16) + r < 0
-        high = (p - 1e17) + r >= 0
-        fix = np.flatnonzero(low | high)
-        i[fix] += np.where(high[fix], 1, -1)
-        p[fix], r[fix] = _scaled(t, a[fix], i[fix])
-        rounded = np.rint(r)
-        tie = np.abs(r - rounded) > 0.5 - 1e-9
-    # p is an integer above 2^53
+    ok = (mag >= 1e-4) & (mag < 1e16)
+    a = np.where(ok, mag, 1.0)  # 0, NaN and the rest: a placeholder
+    # an estimate of E, one off at most; a >= 1e-4, so E >= -4
+    i = np.maximum(np.floor(np.log10(a)).astype(np.intp), _E_MIN) - _E_MIN
+    p, r = _scaled(t, a, i)
+    # the estimate is one off where p + r is outside [1e16, 1e17)
+    low = (p - 1e16) + r < 0
+    high = (p - 1e17) + r >= 0
+    fix = np.flatnonzero(low | high)
+    i[fix] += np.where(high[fix], 1, -1)
+    p[fix], r[fix] = _scaled(t, a[fix], i[fix])
+    rounded = np.rint(r)
+    tie = np.abs(r - rounded) == 0.5
+    # p is an integer above 2^53, and N < 10^17: below 10^(E + 1) the
+    # doubles are further apart than half a unit of the 17th digit
     n = np.where(ok, p.astype(np.int64) + rounded.astype(np.int64), 0)
     n = n.view(np.uint64)
-    top = np.flatnonzero(n == 10 ** 17)
-    n[top] = 10 ** 16
-    i[top] += 1
     first, rest = np.divmod(n, 10 ** 16)
     g1, g2 = np.divmod(rest // 10 ** 8, 10 ** 4)
     g3, g4 = np.divmod(rest % 10 ** 8, 10 ** 4)
@@ -162,7 +158,7 @@ def _format(values):
         k = k[g[k] == 0]
     limit, after = np.take(t.digits, i, axis=1)
     dropped = np.minimum(zeros, limit)
-    lead, base1, base2, base3, minus, same1, same2, moved1, moved2, moved3 \
+    lead, base1, base2, minus, same1, same2, moved1, moved2, moved3 \
         = np.take(t.words, i, axis=1)
     x1 = (t.quads[g1] | t.quads[g2] << 32) & t.kept[0][dropped]
     x2 = (t.quads[g3] | t.quads[g4] << 32) & t.kept[1][dropped]
@@ -174,10 +170,10 @@ def _format(values):
                    | base1 * point)
     chars[:, 2] = ((x2 & same2) | ((x2 << 8 | x1 >> 56) & moved2)
                    | base2 * point)
-    chars[:, 3] = (x2 >> 56 & moved3) | base3
+    chars[:, 3] = x2 >> 56 & moved3
     chars[v != v] = t.na
     for at in np.flatnonzero(tie | ~ok & (mag > 0)):
-        chars[at] = np.frombuffer((b"%.17g" % v[at]).ljust(32, b"\0"), _WORD)
+        chars[at] = _fallback(v[at])
     return chars
 
 

@@ -207,6 +207,42 @@ def test_shipped_configs_build():
         assert rc.grid.nx >= 2
 
 
+def test_empty_config_file_names_the_first_required_key(tmp_path, capsys):
+    p = tmp_path / "empty.yaml"
+    p.write_text("")
+    assert cli.main(["phase-match", "--config", str(p)]) == 2
+    assert "pump.wavelength_nm" in capsys.readouterr().err
+
+
+def test_config_file_holding_a_list_exits_config(tmp_path, capsys):
+    p = tmp_path / "list.yaml"
+    p.write_text("- pump.wavelength_nm: 405.0\n")
+    assert cli.main(["phase-match", "--config", str(p)]) == 2
+    assert "must hold a mapping" in capsys.readouterr().err
+
+
+def test_unparsable_override_names_its_key(li_cfg, capsys):
+    assert cli.main(["phase-match", "--config", li_cfg,
+                     "--set", "pump.phi_p_deg=[1,"]) == 2
+    assert "pump.phi_p_deg" in capsys.readouterr().err
+
+
+def test_bool_override_builds_and_a_number_is_refused(li_cfg, capsys):
+    flat = config.apply_overrides(config.load_config_file(li_cfg),
+                                  ["source.include_z_offset_phase=true"])
+    assert config.build_run_config(flat).source.include_z_offset_phase
+    assert cli.main(["phase-match", "--config", li_cfg,
+                     "--set", "source.include_z_offset_phase=1"]) == 2
+    assert "source.include_z_offset_phase" in capsys.readouterr().err
+
+
+def test_negative_pump_wavelength_exits_config(li_cfg, capsys):
+    assert cli.main(["phase-match", "--config", li_cfg,
+                     "--set", "pump.wavelength_nm=-405"]) == 2
+    err = capsys.readouterr().err
+    assert "must be positive" in err and "pump.wavelength_nm" in err
+
+
 # ------------------------------------------------------------- map files
 
 def _small_map():
@@ -258,6 +294,42 @@ def test_read_map_csv_rejects_foreign_files(tmp_path):
     p.write_text("x,y\n1,2\n")
     with pytest.raises(DataFormatError):
         mapio.read_map_csv(str(p))
+
+
+def test_read_map_csv_skips_blank_lines_before_the_rows(tmp_path):
+    grid = _small_map()
+    p = tmp_path / "m.csv"
+    mapio.write_map_csv(grid, str(p), "0.0-test")
+    header, rows = p.read_text().split("\n# meta: ")
+    meta, rows = rows.split("\n", 1)
+    p.write_text(f"{header}\n# meta: {meta}\n\n  \n{rows}")
+    assert mapio.read_map_csv(str(p)).same_data(grid)
+
+
+def test_shipped_maps_need_no_per_value_formatting(tmp_path, monkeypatch,
+                                                   capsys):
+    # every value of these maps, coordinates included, is in the range
+    # that _format writes in numpy; narrowing it past them fails here
+    fallback, calls = mapio._fallback, []
+    monkeypatch.setattr(mapio, "_fallback",
+                        lambda v: calls.append(v) or fallback(v))
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    angular = ["--set", "grid.mode=angular_theta_phi",
+               "--set", "grid.x_min=0", "--set", "grid.x_max=10",
+               "--set", "grid.y_min=-180", "--set", "grid.y_max=180"]
+    runs = [(name, extra) for name in ("liio3_normal", "bbo_normal")
+            for extra in ([], ["--filter-nm", "702.2"])]
+    runs.append(("bbo_normal", angular))
+    for name, extra in runs:
+        for command in ("phase-map", "delay-map"):
+            out = tmp_path / f"{name}-{command}.csv"
+            assert cli.main([command, "--config",
+                             os.path.join(here, "configs", f"{name}.yaml"),
+                             "--grid", "65x65", *extra,
+                             "--out", str(out)]) == 0
+            assert mapio.read_map_csv(str(out)).values[0].shape == (65, 65)
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_read_map_csv_rejects_truncation(tmp_path):

@@ -245,6 +245,19 @@ def test_find_tilt_no_crossing_raises():
             LI_SRC, PHI, theta_range=(0.0, math.radians(20.0)), n_samples=5)
 
 
+def test_refine_tilt_refuses_a_root_that_misses_the_bar(monkeypatch):
+    # a delay that jumps across zero: the refined bracket closes on the
+    # jump, where the delay is still 1 fs
+    monkeypatch.setattr(
+        compensation, "tilt_delay",
+        lambda source, th, phi_p, target=None:
+        (-1.0 if th < 0.3 else 1.0, None, None))
+    scan = compensation.scan_tilt(BBO_SRC, PHI, (0.0, 0.5), 2)
+    assert scan.bracket == (0.0, 0.5)
+    with pytest.raises(NoSolutionError, match="0.01 fs bar"):
+        compensation.refine_tilt(BBO_SRC, PHI, scan)
+
+
 def test_find_tilt_bbo_frozen_root():
     root = compensation.find_self_compensating_tilt(
         BBO_SRC, PHI, theta_range=(math.radians(45.0), math.radians(55.0)),

@@ -65,3 +65,8 @@ def test_tolerance_below_float_spacing_terminates():
 def test_same_sign_bracket_raises():
     with pytest.raises(NoSolutionError, match="no sign change"):
         bisect_secant(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_an_exact_root_at_an_end_is_returned():
+    assert bisect_secant(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    assert bisect_secant(lambda x: x - 2.0, 1.0, 2.0) == 2.0

@@ -67,6 +67,14 @@ def test_angles_from_direction_rejects_non_unit():
         vecgeom.angles_from_direction(np.zeros(3))
 
 
+def test_angles_from_direction_takes_one_vector_and_phi_up_to_pi():
+    with pytest.raises(ValueError, match="single 3-vector"):
+        vecgeom.angles_from_direction(np.zeros((2, 3)))
+    # arctan2(-0.0, -1.0) is -pi, outside (-pi, pi]
+    th, ph = vecgeom.angles_from_direction(np.array([-1.0, -0.0, 0.0]))
+    assert th == 0.5 * math.pi and ph == math.pi
+
+
 # ------------------------------------------------------------- rotations
 
 def test_pump_frame_identity_at_normal_incidence():
