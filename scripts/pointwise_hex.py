@@ -1,10 +1,12 @@
 """Print the exact bits of the pointwise calls at fixed coordinates.
 
 For each shipped source (the 52 deg tilt with its crystal axes co-rotated
-by compensation.constrained_pump_state), and for the BBO one with unequal
-plates and mu = 0.3, at about ten fixed air-side coordinates, print
-float.hex() of relative_phase, time_delay and time_intervals for both
-photons, or the name of the error a call raises.
+by compensation.constrained_pump_state), for the BBO one with unequal
+plates and mu = 0.3, under the wavevector group convention, and with
+unequal plates behind a 7 deg pump whose axes stay put, at about ten
+fixed air-side coordinates, print float.hex() of relative_phase,
+time_delay and time_intervals for both photons, or the name of the error
+a call raises.
 Then print float.hex() of both crystals' co-rotated (axis_theta,
 axis_phi) for the 52 deg tilt source at a few pump tilts.  Two checkouts
 agree bitwise at these coordinates and tilts when their outputs are
@@ -34,13 +36,17 @@ TILTED_CELLS = [(50.0, 60.0), (50.0, 90.0), (45.0, 75.0), (55.0, 105.0),
 AXIS_TILTS = [0.0, 7.0, 30.0, 51.2, 60.0, 85.0]
 # unequal plates and an off-centre birth depth, where t1 - t2 != dt
 UNEQUAL = ("crystal2.length_mm=0.8", "source.mu=0.3")
+# the e group transit's second branch
+WAVEVECTOR = ("source.group_convention=wavevector",)
+# an oblique pump that leaves the crystal axes where the config puts them
+OBLIQUE = ("pump.theta_p_deg=7", "pump.phi_p_deg=90") + UNEQUAL
 
 
-def _source(name, overrides=()):
+def _source(name, overrides=(), corotate=True):
     flat = config.load_config_file(CONFIGS / name)
     rc = config.build_run_config(config.apply_overrides(flat, overrides))
     src = rc.source
-    if src.pump.theta_p != 0.0:
+    if corotate and src.pump.theta_p != 0.0:
         src = compensation.constrained_pump_state(src.pump, src)
     return src
 
@@ -55,13 +61,16 @@ def _bits(fn, *args):
 
 
 def main():
-    for name, overrides, cells in (
-            ("liio3_normal.yaml", (), NORMAL_CELLS),
-            ("bbo_normal.yaml", (), NORMAL_CELLS),
-            ("bbo_tilt52.yaml", (), TILTED_CELLS),
-            ("bbo_normal.yaml", UNEQUAL, NORMAL_CELLS)):
-        src = _source(name, overrides)
-        label = " ".join((name,) + overrides)
+    for name, overrides, cells, corotate in (
+            ("liio3_normal.yaml", (), NORMAL_CELLS, True),
+            ("bbo_normal.yaml", (), NORMAL_CELLS, True),
+            ("bbo_tilt52.yaml", (), TILTED_CELLS, True),
+            ("bbo_normal.yaml", UNEQUAL, NORMAL_CELLS, True),
+            ("bbo_normal.yaml", WAVEVECTOR, NORMAL_CELLS, True),
+            ("bbo_normal.yaml", OBLIQUE, NORMAL_CELLS, False)):
+        src = _source(name, overrides, corotate)
+        label = " ".join((name,) + overrides
+                         + (() if corotate else ("axes-fixed",)))
         for theta, phi, *share in cells:
             omega = (share[0] if share else 0.5) * src.pump.omega
             c = EmissionCoord(omega, math.radians(theta), math.radians(phi))

@@ -204,14 +204,12 @@ def build_run_config(flat):
     if abs(theta_p) >= 90.0:
         raise ConfigError("pump tilt must stay below 90 degrees",
                           key="pump.theta_p_deg")
-    pump = phasematch.PumpConfig(
-        wavelength_nm=canon["pump.wavelength_nm"],
-        theta_p=math.radians(theta_p),
-        phi_p=math.radians(canon["pump.phi_p_deg"]),
-        phase_offset=math.radians(canon["pump.phase_offset_deg"]))
-    if pump.wavelength_nm <= 0.0:
-        raise ConfigError("pump wavelength must be positive",
-                          key="pump.wavelength_nm")
+    with _rekey("pump"):
+        pump = phasematch.PumpConfig(
+            wavelength_nm=canon["pump.wavelength_nm"],
+            theta_p=math.radians(theta_p),
+            phi_p=math.radians(canon["pump.phi_p_deg"]),
+            phase_offset=math.radians(canon["pump.phase_offset_deg"]))
 
     c1 = _build_crystal(canon, "crystal1")
     c2 = _build_crystal(canon, "crystal2")

@@ -317,7 +317,9 @@ MAX_LENGTH_MM = 1000.0
 @dataclass(frozen=True)
 class CrystalSpec:
     """A cut uniaxial crystal plate: material, thickness, optic-axis
-    orientation (polar angle from the face normal +z, azimuth in x-y)."""
+    orientation (polar angle from the face normal +z, azimuth in x-y).  A
+    thickness outside (0, MAX_LENGTH_MM], NaN included, or a non-finite
+    axis angle is a ConfigError keyed by the field's name."""
 
     material: Material
     length_mm: float
@@ -325,12 +327,17 @@ class CrystalSpec:
     axis_phi: float
 
     def __post_init__(self):
-        if self.length_mm <= 0:
-            raise ConfigError("crystal length must be positive", key="length_mm")
+        if not self.length_mm > 0:
+            raise ConfigError("crystal length must be positive, got "
+                              f"{self.length_mm!r}", key="length_mm")
         if self.length_mm > MAX_LENGTH_MM:
             raise ConfigError(f"crystal length {self.length_mm!r} mm exceeds "
                               f"the cap of {MAX_LENGTH_MM:g} mm",
                               key="length_mm")
+        for key in ("axis_theta", "axis_phi"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"must be finite, got {value!r}", key=key)
 
     @cached_property
     def _axis(self):

@@ -23,6 +23,13 @@ the partner photon is evanescent in air.  Pointwise, relative_phase and
 photon 'i' raise KinematicsError there, and first where omega_p -
 omega_s <= 0; any call raises it for a photon grazing the face (its
 sine rounding to 1).  No pointwise call raises RefractionError.
+
+The delays add up the transit times of the legs of each birth history.
+One law, _leg_fs, times the photon's extraordinary leg through crystal
+2, its ordinary leg from the birth depth, and the pump's ordinary leg
+through crystal 1 at normal incidence.  The pump's extraordinary leg to
+the birth depth is pump_group_e times mu d.  Neither pump leg takes its
+oblique path under a tilted pump.
 """
 
 import math
@@ -52,17 +59,20 @@ class SourceConfig:
     """Full two-crystal source description.
 
     mu is the fractional pair-birth depth used by the interval formulas
-    (the delay itself is mu-free).  group_convention selects how the
-    extraordinary group transit through the second crystal is reckoned:
-    "ray" evaluates the group index at the axis cosine of the ray (the
-    index-surface normal) and scales it by cos rho, the ray's projection
-    onto the wavevector; "wavevector" uses the wavevector's axis cosine
-    directly.  The two differ by well under a percent in transit time but
-    the difference matters when hunting the self-compensating tilt.
-    pump_group_e holds the pump's extraordinary group index in each
-    crystal and _pump_transit1 its ordinary transit through crystal 1,
-    each computed once on first use (replace() builds a new instance,
-    computed afresh).
+    (the delay itself is mu-free).  group_convention selects the group
+    index of the photon's extraordinary leg through the second crystal,
+    and of no other leg: "ray" evaluates it at the axis cosine of the ray
+    (the index-surface normal) and scales it by cos rho, the ray's
+    projection onto the wavevector; "wavevector" uses the wavevector's
+    axis cosine directly.  The two differ by well under a percent in
+    transit time but the difference matters when hunting the
+    self-compensating tilt.  pump_group_e holds the pump's extraordinary
+    group index in each crystal, at its wavevector's axis angle, and
+    _pump_transit1 its ordinary transit through crystal 1 (_leg_fs at
+    normal incidence), each computed once on first use (replace() builds
+    a new instance, computed afresh).  Both pump legs run along the face
+    normal, also for a tilted pump.  A mu outside [0, 1] or a detection
+    distance that is not finite and positive is a ConfigError.
     """
 
     crystal1: crystal.CrystalSpec
@@ -77,8 +87,9 @@ class SourceConfig:
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigError(f"mu must lie in [0, 1], got {self.mu!r}", key="mu")
-        if self.detection_distance_mm <= 0.0:
-            raise ConfigError("detection distance must be positive",
+        if not 0.0 < self.detection_distance_mm < math.inf:
+            raise ConfigError("detection distance must be positive and "
+                              f"finite, got {self.detection_distance_mm!r}",
                               key="detection_distance_mm")
         if self.group_convention not in (GROUP_ALONG_RAY, GROUP_ALONG_WAVEVECTOR):
             raise ConfigError(
@@ -116,11 +127,10 @@ class SourceConfig:
 
     @cached_property
     def _pump_transit1(self):
-        """The pump's ordinary transit through crystal 1 in fs, d1 n_g / c:
-        the one copy _delay_values and _interval_values read."""
+        """The pump's ordinary transit through crystal 1 in fs, along the
+        normal: the one copy _delay_values and _interval_values read."""
         c1 = self.crystal1
-        ng_po = crystal._principal_group(c1.material, self.pump.omega)[0]
-        return (1e6 / C_NM_FS) * (c1.length_mm * ng_po)
+        return _leg_fs(self, c1, self.pump.omega, 0.0, 0.0, c1.length_mm, "o")
 
 
 def source_snapshot(source):
@@ -160,24 +170,32 @@ def _phase_values(source, w_s, sx, sy):
     return total + source._phase_offset
 
 
-def _group_e_effective(source, w, transit):
-    """Group index governing the extraordinary transit, per convention."""
-    mat = source.crystal2.material
-    if source.group_convention == GROUP_ALONG_RAY:
-        ng = crystal.group_index(mat, w, "e", cos_alpha=transit.ca_ray)
-        return ng * transit.cos_rho
-    return crystal.group_index(mat, w, "e", cos_alpha=transit.ca_k)
+def _leg_fs(source, spec, w, sx, sy, length, polarization):
+    """Transit time (fs) over length mm of plate spec on branch "o" or "e"
+    (as in crystal.group_index) at frequency w, entered from air with
+    transverse components (sx, sy): length n_g / (c r_z), r_z the z
+    component of the unit ray.  On "e", n_g follows group_convention."""
+    if polarization == "o":
+        n_o = crystal._indices(spec.material, w)[1]
+        ng = crystal._principal_group(spec.material, w)[0]
+        rz = crystal._ordinary_kz(n_o, sx, sy) / n_o
+    else:
+        t = _Transit(spec, w, sx, sy)
+        ray = source.group_convention == GROUP_ALONG_RAY
+        ng = crystal.group_index(spec.material, w, polarization,
+                                 cos_alpha=t.ca_ray if ray else t.ca_k)
+        ng, rz = (ng * t.cos_rho if ray else ng), t.rz
+    return (1e6 / C_NM_FS) * (length * ng / rz)
 
 
 def _delay_values(source, w, sx, sy):
     """Time delay (fs) for the photon species at frequency w located at the
     given transverse direction components; arrays in, array out."""
-    t = _Transit(source.crystal2, w, sx, sy)
-    ng_eff = _group_e_effective(source, w, t)
-    d2 = source.crystal2.length_mm
+    c2 = source.crystal2
     # two scaled terms, subtracted last: _interval_values adds this value
     # to t2, so t1 - t2 reproduces it when the plates are equal
-    return (1e6 / C_NM_FS) * (d2 * ng_eff / t.rz) - source._pump_transit1
+    return (_leg_fs(source, c2, w, sx, sy, c2.length_mm, "e")
+            - source._pump_transit1)
 
 
 def _interval_values(source, w, sx, sy):
@@ -190,11 +208,8 @@ def _interval_values(source, w, sx, sy):
     for c, ng_pe in zip((c1, c2), source.pump_group_e):
         # pump extraordinary up to the birth depth, then the photon
         # ordinary from there to the exit face of its birth crystal
-        n_o = crystal._indices(c.material, w)[1]
-        kz_o = crystal._ordinary_kz(n_o, sx, sy) / n_o
-        ng_o = crystal._principal_group(c.material, w)[0]
         pe.append(k * (mu * c.length_mm * ng_pe))
-        o.append(k * ((1.0 - mu) * c.length_mm * ng_o / kz_o))
+        o.append(_leg_fs(source, c, w, sx, sy, (1.0 - mu) * c.length_mm, "o"))
     dt = _delay_values(source, w, sx, sy)
     t2 = (pe[1] + o[1]) + source._pump_transit1
     # equal birth segments cancel exactly, so equal plates give

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import crystal, vecgeom
 from .crystal import C_NM_FS
-from .errors import KinematicsError, NoSolutionError
+from .errors import ConfigError, KinematicsError, NoSolutionError
 from .solvers import bisect_secant
 
 @dataclass(frozen=True)
@@ -61,12 +61,24 @@ class PumpConfig:
     """Pump beam: vacuum wavelength (nm), external incidence angles
     (radians), and the initial phase offset between its two polarization
     components (radians, additive to every relative phase).  omega,
-    transverse_q() and the cone frame are computed once per instance."""
+    transverse_q() and the cone frame are computed once per instance.  A
+    wavelength that is not finite and positive, or an angle or offset
+    that is not finite, is a ConfigError keyed by the field's name."""
 
     wavelength_nm: float
     theta_p: float = 0.0
     phi_p: float = 0.0
     phase_offset: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 < self.wavelength_nm < math.inf:
+            raise ConfigError("pump wavelength must be positive and finite, "
+                              f"got {self.wavelength_nm!r}",
+                              key="wavelength_nm")
+        for key in ("theta_p", "phi_p", "phase_offset"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"must be finite, got {value!r}", key=key)
 
     @cached_property
     def omega(self):

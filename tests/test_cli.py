@@ -243,6 +243,18 @@ def test_negative_pump_wavelength_exits_config(li_cfg, capsys):
     assert "must be positive" in err and "pump.wavelength_nm" in err
 
 
+def test_pump_errors_are_the_library_ones_under_their_key(li_cfg):
+    # the config path builds the pump and keys PumpConfig's own refusal
+    flat = config.apply_overrides(config.load_config_file(li_cfg),
+                                  ["pump.wavelength_nm=0"])
+    with pytest.raises(ConfigError) as via_config:
+        config.build_run_config(flat)
+    with pytest.raises(ConfigError) as via_library:
+        phasematch.PumpConfig(0.0)
+    assert via_config.value.key == "pump.wavelength_nm"
+    assert via_config.value.message == via_library.value.message
+
+
 # ------------------------------------------------------------- map files
 
 def _small_map():

@@ -389,3 +389,17 @@ def test_crystal_length_cap():
         with pytest.raises(ConfigError) as exc:
             crystal.CrystalSpec(BBO, length, 0.3, 0.0)
         assert exc.value.key == "length_mm"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("length_mm", math.nan), ("axis_theta", math.nan),
+    ("axis_theta", math.inf), ("axis_phi", -math.inf), ("axis_phi", math.nan),
+])
+def test_crystal_spec_refuses_non_finite_inputs(key, value):
+    # unrefused, a NaN plate makes an all-NA map whose pointwise call
+    # blames a photon grazing the face
+    args = {"material": BBO, "length_mm": 0.6, "axis_theta": 0.5,
+            "axis_phi": 0.0, key: value}
+    with pytest.raises(ConfigError) as exc:
+        crystal.CrystalSpec(**args)
+    assert exc.value.key == key

@@ -7,6 +7,7 @@ what actually validate the physics.
 """
 
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -15,11 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcmaps import compensation, crystal, maps, phasematch, vecgeom
+from spdcmaps import compensation, config, crystal, maps, phasematch, vecgeom
 from spdcmaps.errors import ConfigError, FitError, KinematicsError
 from spdcmaps.phasematch import EmissionCoord, PumpConfig
 
 import scalar_oracle
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
 
 
 def make_source(mat, cut_deg, lam_nm, d_mm, **kw):
@@ -147,6 +151,67 @@ def test_delay_equals_interval_difference():
             t1, t2 = maps.time_intervals(source, c)
             dt = maps.time_delay(source, c)
             assert abs((t1 - t2) - dt) < 1e-12
+
+
+# each equal-plate normal-incidence source with its degenerate ring angle
+RINGS = [(src, phasematch.degenerate_emission_angle(src.crystal1, src.pump))
+         for src in (LI, BBO)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from([0, 1]),
+       convention=st.sampled_from([maps.GROUP_ALONG_RAY,
+                                   maps.GROUP_ALONG_WAVEVECTOR]),
+       mu=st.floats(0.0, 1.0),
+       offset=st.floats(-5.0, 5.0),
+       phi=st.floats(-math.pi, math.pi),
+       photon=st.sampled_from("si"))
+def test_delay_equals_interval_difference_near_the_ring(case, convention, mu,
+                                                        offset, phi, photon):
+    # equal plates: the pump's and the photon's birth segments are the
+    # same legs in both crystals and cancel exactly, so t1 - t2 is dt up
+    # to the rounding of t2 + dt, under either group convention
+    source, ring = RINGS[case]
+    src = replace(source, mu=mu, group_convention=convention)
+    theta = max(0.0, ring + math.radians(offset))
+    c = EmissionCoord(0.5 * src.pump.omega, theta, phi)
+    t1, t2 = maps.time_intervals(src, c, photon)
+    assert abs((t1 - t2) - maps.time_delay(src, c, photon)) < 1e-12
+
+
+def test_leg_law_on_arrays_is_its_float_calls_bitwise():
+    rng = np.random.default_rng(26)
+    s, az = rng.uniform(0.0, 0.5, 64), rng.uniform(-math.pi, math.pi, 64)
+    sx, sy = s * np.cos(az), s * np.sin(az)
+    for convention in (maps.GROUP_ALONG_RAY, maps.GROUP_ALONG_WAVEVECTOR):
+        src = replace(BBO, group_convention=convention)
+        for spec in (src.crystal1, src.crystal2):
+            for pol in ("o", "e"):
+                cells = maps._leg_fs(src, spec, W_BBO, sx, sy, 0.37, pol)
+                points = [maps._leg_fs(src, spec, W_BBO, x, y, 0.37, pol)
+                          for x, y in zip(sx.tolist(), sy.tolist())]
+                assert all(type(v) is float for v in points)
+                assert cells.tolist() == points, (convention, pol)
+
+
+def test_leg_law_rejects_a_bad_polarization():
+    with pytest.raises(ValueError, match="polarization"):
+        maps._leg_fs(BBO, BBO.crystal2, W_BBO, 0.0, 0.0, 0.6, "x")
+
+
+def test_ordinary_leg_along_the_normal_is_the_plain_transit():
+    # sqrt(n^2) / n is exactly 1, so the law at (0, 0) is d n_g / c with
+    # no path factor: the pump's memoised transit through crystal 1
+    for name in ("liio3_normal.yaml", "bbo_normal.yaml"):
+        src = config.build_run_config(config.load_config_file(
+            os.path.join(CONFIGS, name))).source
+        c1, w_p = src.crystal1, src.pump.omega
+        ng = crystal._principal_group(c1.material, w_p)[0]
+        want = (1e6 / crystal.C_NM_FS) * (c1.length_mm * ng)
+        assert maps._leg_fs(src, c1, w_p, 0.0, 0.0, c1.length_mm, "o") == want
+        assert src._pump_transit1 == want
+        n_o = crystal._indices(c1.material, w_p)[1]
+        assert crystal._ordinary_kz(n_o, 0.0, 0.0) / n_o == 1.0
 
 
 def test_delay_independent_of_birth_depth():
@@ -622,6 +687,15 @@ def test_source_config_validation():
         replace(LI, detection_distance_mm=0.0)
     with pytest.raises(ConfigError):
         replace(LI, group_convention="phase")
+
+
+@pytest.mark.parametrize("distance", [math.nan, math.inf])
+def test_source_config_rejects_a_non_finite_detection_distance(distance):
+    # unrefused, an infinite distance puts every detection-plane cell on
+    # the axis
+    with pytest.raises(ConfigError) as exc:
+        replace(LI, detection_distance_mm=distance)
+    assert exc.value.key == "detection_distance_mm"
 
 
 # ------------------------------------------------------- profiles / fits

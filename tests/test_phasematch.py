@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdcmaps import compensation, crystal, maps, phasematch, vecgeom
-from spdcmaps.errors import KinematicsError, NoSolutionError
+from spdcmaps.errors import ConfigError, KinematicsError, NoSolutionError
 from spdcmaps.phasematch import EmissionCoord, PumpConfig
 from spdcmaps.solvers import bisect_secant
 
@@ -308,6 +308,25 @@ def test_emission_coord_rejects_bad_omega_and_phi(field, kwargs):
     args = {"omega": 2.0, "theta": 0.05, "phi": 0.0, **kwargs}
     with pytest.raises(ValueError, match=field):
         EmissionCoord(**args)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("wavelength_nm", 0.0), ("wavelength_nm", -351.1),
+    ("wavelength_nm", math.nan), ("wavelength_nm", math.inf),
+    ("theta_p", math.nan), ("theta_p", -math.inf), ("phi_p", math.nan),
+    ("phase_offset", math.inf),
+])
+def test_pump_config_refuses_what_the_config_path_refuses(key, value):
+    # unrefused, a zero wavelength divides by zero in omega, and a NaN
+    # tilt gives a finite time_delay beside an all-NaN phase sweep
+    args = {"wavelength_nm": 405.0, key: value}
+    with pytest.raises(ConfigError) as exc:
+        PumpConfig(**args)
+    assert exc.value.key == key
+    if key in ("theta_p", "phi_p"):
+        with pytest.raises(ConfigError):
+            PumpConfig(405.0).with_tilt(**{"theta_p": 0.1, "phi_p": 0.0,
+                                           key: value})
 
 
 def test_ring_solve_converts_no_angles_and_the_target_one(monkeypatch):
