@@ -39,7 +39,9 @@ def constrained_pump_state(pump, source):
 
     The nominal axis angles are recorded on first use and later tilts
     always start from them, so reapplying the operation composes
-    correctly and applying the same tilt twice changes nothing.
+    correctly and applying the same tilt twice changes nothing.  At
+    theta_p = 0 each crystal keeps its nominal axis angles bitwise; any
+    other tilt rotates the axis direction by vecgeom._rotate.
     """
     theta_p, phi_p = pump.theta_p, pump.phi_p
     if abs(theta_p) >= 0.5 * math.pi:
@@ -47,25 +49,17 @@ def constrained_pump_state(pump, source):
             "pump tilt must stay below 90 degrees from the entry-face "
             "normal", key="pump.theta_p")
     base = source.nominal_axes()
-    if theta_p == 0.0:
-        c1 = source.crystal1.with_axis(*base[0])
-        c2 = source.crystal2.with_axis(*base[1])
-        return replace(source, pump=pump, crystal1=c1, crystal2=c2,
-                       base_axes=base)
     crystals = []
-    for spec, (ax_theta, ax_phi) in ((source.crystal1, base[0]),
-                                     (source.crystal2, base[1])):
-        _, n_o, n_ep = crystal._indices(spec.material, pump.omega)
-        n_cut = crystal._section_index(n_o, n_ep, math.cos(ax_theta))
-        theta_int = math.asin(math.sin(theta_p) / n_cut)
-        # apply_rotation's sums on direction_from_angles' components (the
-        # same numpy trig), for one vector without the batch packing
-        rot = vecgeom.tilt_rotation(theta_int, phi_p).tolist()
-        x, y = vecgeom._transverse(ax_theta, ax_phi)
-        z = np.cos(ax_theta)
-        ang = vecgeom.angles_from_direction(
-            [r[0] * x + r[1] * y + r[2] * z for r in rot])
-        crystals.append(spec.with_axis(ang.theta, ang.phi))
+    for spec, axis in zip((source.crystal1, source.crystal2), base):
+        if theta_p != 0.0:
+            _, n_o, n_ep = crystal._indices(spec.material, pump.omega)
+            n_cut = crystal._section_index(n_o, n_ep, math.cos(axis[0]))
+            rot = vecgeom.tilt_rotation(
+                math.asin(math.sin(theta_p) / n_cut), phi_p).tolist()
+            x, y = vecgeom._transverse(*axis)
+            axis = vecgeom.angles_from_direction(
+                vecgeom._rotate(rot, x, y, np.cos(axis[0])))
+        crystals.append(spec.with_axis(*axis))
     return replace(source, pump=pump, crystal1=crystals[0],
                    crystal2=crystals[1], base_axes=base)
 
@@ -144,10 +138,9 @@ def scan_tilt(source, phi_p, theta_range, n_samples, target=None):
                 th, v, math.nan if delta is None else delta))
         except SpdcError as exc:
             samples.append(TiltSample(th, math.nan, math.nan, str(exc)))
-    root = None
-    bracket = None
-    valid = [s for s in samples
-             if s.error is None and math.isfinite(s.delay_fs)]
+    result = TiltScanResult(samples=tuple(samples))
+    valid = result.valid_samples()
+    root = bracket = None
     for s in valid:
         if abs(s.delay_fs) < DELAY_TOLERANCE_FS:
             root, bracket = s.theta_p, (s.theta_p, s.theta_p)
@@ -157,8 +150,7 @@ def scan_tilt(source, phi_p, theta_range, n_samples, target=None):
             if a.delay_fs * b.delay_fs < 0.0:
                 bracket = (a.theta_p, b.theta_p)
                 break
-    return TiltScanResult(samples=tuple(samples), root=root,
-                          bracket=bracket)
+    return replace(result, root=root, bracket=bracket)
 
 
 def refine_tilt(source, phi_p, scan, target=None):

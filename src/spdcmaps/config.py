@@ -173,21 +173,24 @@ def _rekey(prefix):
                           key=f"{prefix}.{sub}" if sub else prefix) from None
 
 
-def _check_dispersion_range(canon, material, which):
-    lam_p = canon["pump.wavelength_nm"]
-    lo, hi = material.valid_nm
-    for lam, what in ((lam_p, "pump"), (2.0 * lam_p, "degenerate photon")):
-        if not lo <= lam <= hi:
-            raise ConfigError(
-                f"{what} wavelength {lam:g} nm is outside the "
-                f"[{lo:g}, {hi:g}] nm validity range of "
-                f"{material.name} ({which})", key="pump.wavelength_nm")
+def _check_dispersion_range(material, key, checks):
+    """crystal._indices of the material, with its window check, at each
+    (frequency, photon) of checks, as the kernels evaluate them; its
+    RangeError as a ConfigError keyed key, naming the photon."""
+    for w, what in checks:
+        try:
+            crystal._indices(material, w)
+        except RangeError as exc:
+            raise ConfigError(f"{exc} for the {what}", key=key) from None
 
 
-def _build_crystal(canon, which):
+def _build_crystal(canon, pump, which):
     with _rekey(which):
         mat = crystal.get_material(canon[f"{which}.material"])
-    _check_dispersion_range(canon, mat, which)
+    # the pump's transit; the ring solve, find-tilt and a degenerate sweep
+    _check_dispersion_range(mat, "pump.wavelength_nm", (
+        (pump.omega, f"pump ({which})"),
+        (0.5 * pump.omega, f"degenerate photon ({which})")))
     with _rekey(which):
         return crystal.CrystalSpec(
             material=mat,
@@ -211,8 +214,8 @@ def build_run_config(flat):
             phi_p=math.radians(canon["pump.phi_p_deg"]),
             phase_offset=math.radians(canon["pump.phase_offset_deg"]))
 
-    c1 = _build_crystal(canon, "crystal1")
-    c2 = _build_crystal(canon, "crystal2")
+    c1 = _build_crystal(canon, pump, "crystal1")
+    c2 = _build_crystal(canon, pump, "crystal2")
 
     with _rekey("source"):
         source = maps.SourceConfig(
@@ -229,18 +232,15 @@ def build_run_config(flat):
         y_min=canon["grid.y_min"], y_max=canon["grid.y_max"],
         mode=canon["grid.mode"])
 
+    # the sweep's signal and, by phasematch._partner's law, its partner
     filter_nm = canon["filter.center_nm"]
-    if filter_nm is not None:
-        if not 0.0 < pump.wavelength_nm < filter_nm:
-            raise ConfigError(
-                "filter wavelength must exceed the pump wavelength",
-                key="filter.center_nm")
-        try:
-            c2.material.index_o(filter_nm)
-            partner = 1.0 / (1.0 / pump.wavelength_nm - 1.0 / filter_nm)
-            c2.material.index_o(partner)
-        except RangeError as exc:
-            raise ConfigError(str(exc), key="filter.center_nm") from None
+    key = "pump.wavelength_nm" if filter_nm is None else "filter.center_nm"
+    w_s = maps._signal_omega(pump, filter_nm, key)[1]
+    if not w_s < pump.omega:
+        raise ConfigError("filter wavelength must exceed the pump wavelength",
+                          key=key)
+    _check_dispersion_range(c2.material, key, (
+        (w_s, "signal (crystal2)"), (pump.omega - w_s, "idler (crystal2)")))
 
     t_lo = canon["tilt.theta_min_deg"]
     t_hi = canon["tilt.theta_max_deg"]

@@ -90,7 +90,7 @@ class Material:
         if lam.ndim == 0:
             if bad:
                 raise RangeError(
-                    f"{self.name}: wavelength {float(lam):g} nm outside validity "
+                    f"{self.name}: wavelength {float(lam)!r} nm outside validity "
                     f"range [{self.valid_nm[0]:g}, {self.valid_nm[1]:g}] nm")
             return float(fit.index(float(lam)))
         n = fit.index(lam)

@@ -22,7 +22,9 @@ conservation law (phasematch._partner) and of the entry from air
 the partner photon is evanescent in air.  Pointwise, relative_phase and
 photon 'i' raise KinematicsError there, and first where omega_p -
 omega_s <= 0; any call raises it for a photon grazing the face (its
-sine rounding to 1).  No pointwise call raises RefractionError.
+sine rounding to 1).  A sweep refuses a window where a photon would
+graze: GridSpec an angular one, _sweep one on the detection plane.  No
+pointwise call raises RefractionError.
 
 The delays add up the transit times of the legs of each birth history.
 One law, _leg_fs, times the photon's extraordinary leg through crystal
@@ -273,6 +275,16 @@ def time_delay(source, signal, photon="s"):
 _MAX_CELLS = 2 ** 24
 
 
+def _check_top_polar(theta):
+    """ConfigError keyed grid unless a window's largest polar angle theta
+    (rad) stays below pi/2 with the sweep's own sine below 1: where it
+    rounds to 1 the detected photon grazes the face."""
+    if not (theta < 0.5 * np.pi and np.sin(theta) < 1.0):
+        raise ConfigError("polar angles must stay below 90 degrees, with a "
+                          f"sine below 1: got {float(np.degrees(theta))!r}",
+                          key="grid")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular sweep grid.  Coordinates are mm on the detection plane
@@ -301,13 +313,8 @@ class GridSpec:
         if not all(map(math.isfinite, spans)):  # linspace steps by them
             raise ConfigError(f"grid spans must be finite, got {spans}",
                               key="grid")
-        top = max(abs(self.x_min), abs(self.x_max))
-        # the sweep's own sine: where it rounds to 1 the detected photon
-        # grazes the face
-        if self.mode == ANGULAR_MODE and not (
-                top < 90.0 and np.sin(np.deg2rad(top)) < 1.0):
-            raise ConfigError("polar angles must stay below 90 degrees, "
-                              f"with a sine below 1: got {top!r}", key="grid")
+        if self.mode == ANGULAR_MODE:
+            _check_top_polar(np.deg2rad(max(abs(self.x_min), abs(self.x_max))))
 
     def axes(self):
         return (np.linspace(self.x_min, self.x_max, self.nx),
@@ -381,14 +388,31 @@ _KINDS = {"phase": (("phase_deg",), _phase_planes),
           "delay": (("dt_s_fs", "dt_i_fs"), _delay_planes)}
 
 
+def _signal_omega(pump, filter_center_nm, key="filter_center_nm"):
+    """(filter nm, omega_s): the signal wavelength and frequency a sweep
+    evaluates, behind a filter centred at filter_center_nm, or degenerate
+    (twice the pump wavelength) for None.  A centre that is not finite and
+    positive is a ConfigError keyed key."""
+    if filter_center_nm is None:
+        filter_center_nm = 2.0 * pump.wavelength_nm
+    elif not 0.0 < filter_center_nm < math.inf:
+        raise ConfigError("filter centre must be finite and positive, got "
+                          f"{filter_center_nm!r}", key=key)
+    return filter_center_nm, crystal.omega_from_nm(filter_center_nm)
+
+
 def _sweep(source, grid_spec, filter_center_nm, kind):
-    """MapGrid of the kind's planes, evaluated at the filter's signal
-    frequency (degenerate when filter_center_nm is None) on blocks of
-    whole grid rows."""
+    """MapGrid of the kind's planes, evaluated at _signal_omega's
+    frequency on blocks of whole grid rows.  On the detection plane, a
+    window whose farthest corner grazes the face (GridSpec's rule on the
+    sweep's own polar angle there) is a ConfigError keyed grid."""
     value_names, kernel = _KINDS[kind]
-    filter_nm = filter_center_nm or 2.0 * source.pump.wavelength_nm
-    w_s = crystal.omega_from_nm(filter_nm)
+    filter_nm, w_s = _signal_omega(source.pump, filter_center_nm)
     xs, ys = grid_spec.axes()
+    if grid_spec.mode == DETECTION_MODE:
+        with np.errstate(over="ignore"):
+            _check_top_polar(np.arctan(np.hypot(abs(xs).max(), abs(ys).max())
+                                       / source.detection_distance_mm))
     planes = [np.empty((grid_spec.ny, grid_spec.nx)) for _ in value_names]
     for i, j in _row_blocks(grid_spec.ny, grid_spec.nx):
         x, y = xs[np.newaxis, :], ys[i:j, np.newaxis]
@@ -411,7 +435,8 @@ def sweep_phase_map(source, grid_spec, filter_center_nm=None, workers=None):
     """Relative-phase map over a grid, in degrees.
 
     filter_center_nm selects the signal wavelength at every cell; None
-    means degenerate (twice the pump wavelength).  workers is accepted
+    means degenerate (twice the pump wavelength), and a value that is not
+    finite and positive is a ConfigError.  workers is accepted
     for compatibility and has no effect: the sweep runs on one thread.
     """
     return _sweep(source, grid_spec, filter_center_nm, "phase")

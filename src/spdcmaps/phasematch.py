@@ -208,7 +208,7 @@ def _cone_point(frame, delta, phi):
     KinematicsError where d_z <= 0: the point does not leave the exit face."""
     s = math.sin(delta)
     x, y, z = s * math.cos(phi), s * math.sin(phi), math.cos(delta)
-    d = [r[0] * x + r[1] * y + r[2] * z for r in frame]
+    d = vecgeom._rotate(frame, x, y, z)
     if not d[2] > 0.0:
         theta = math.degrees(math.acos(max(-1.0, d[2])))
         raise KinematicsError(f"cone point at polar angle {theta:.6g} deg "

@@ -17,7 +17,9 @@ internal reflection); batched inputs mark the offending rows NaN and keep
 going.
 
 _transverse gives a direction's air-side transverse components, on which
-the maps and the solvers apply conservation (phasematch._partner).
+the maps and the solvers apply conservation (phasematch._partner).  A
+rotation is written once, in _rotate: apply_rotation, the ring solve's
+cone points and a tilted pump's co-rotated axes call it.
 
 The extraordinary refraction's quadratic is written once, in _larger_root.
 _Transit runs it on air-side components for a wave entering from air
@@ -133,13 +135,15 @@ def tilt_rotation(theta, phi):
     return rotation_z(phi) @ rotation_y(theta) @ rotation_z(-phi)
 
 
+def _rotate(rows, x, y, z):
+    """R @ (x, y, z) as a list, R by its rows, on floats or arrays."""
+    return [r[0] * x + r[1] * y + r[2] * z for r in rows]
+
+
 def apply_rotation(R, v):
     """R @ v for a 3x3 matrix and (..., 3) vectors, explicit components."""
     v = np.asarray(v, dtype=float)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    parts = (R[0, 0] * x + R[0, 1] * y + R[0, 2] * z,
-             R[1, 0] * x + R[1, 1] * y + R[1, 2] * z,
-             R[2, 0] * x + R[2, 1] * y + R[2, 2] * z)
+    parts = _rotate(R, v[..., 0], v[..., 1], v[..., 2])
     return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 

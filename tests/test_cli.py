@@ -1,5 +1,6 @@
 """Configuration parsing, text round-trips, and the command-line surface."""
 
+import argparse
 import json
 import math
 import os
@@ -150,6 +151,17 @@ def test_filter_partner_must_stay_in_material_window(tmp_path):
     p.write_text(BBO_CFG + "filter.center_nm: 1200.0\n")
     with pytest.raises(ConfigError, match="filter.center_nm"):
         config.build_run_config(config.load_config_file(str(p)))
+
+
+def test_filter_partner_is_checked_at_the_sweeps_own_frequency(tmp_path):
+    # 1 / (1/405 - 1/655.4198473282443) is 1060.0 nm, the edge of BBO's
+    # window, but the sweep's partner, omega_p - omega_s, lies at
+    # 1060.0000000000002 nm, outside it
+    p = tmp_path / "b.yaml"
+    p.write_text(BBO_CFG + "filter.center_nm: 655.4198473282443\n")
+    with pytest.raises(ConfigError, match="1060.0000000000002") as exc:
+        config.build_run_config(config.load_config_file(str(p)))
+    assert exc.value.key == "filter.center_nm"
 
 
 def test_structural_limits(li_cfg):
@@ -811,6 +823,19 @@ def test_cli_bad_inputs_exit_config(tmp_path, li_cfg, capsys):
     assert "filter.center_nm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["source.detection_distance_mm=1e-300",
+                                      "grid.x_max=1e20"])
+def test_cli_window_whose_farthest_corner_grazes_is_refused(
+        tmp_path, bbo_cfg, capsys, override):
+    # unrefused, 1e-300 mm gave dt_s_fs of 716-727 fs where the photon
+    # grazes the face, and 1e20 mm gave NA cells with no partner at fault
+    code = cli.main(["delay-map", "--config", bbo_cfg, "--set", override,
+                     "--grid", "4x3", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: grid: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["bbo.yaml"]
+
+
 def test_unknown_material_names_its_key_once(li_cfg, capsys):
     flat = config.load_config_file(li_cfg)
     flat["crystal1.material"] = "Quartz"
@@ -1405,3 +1430,19 @@ def test_cli_crystal_length_at_the_cap_is_admitted(tmp_path, capsys,
     grid = mapio.read_map_csv(str(out))
     assert grid.metadata["source"]["crystal2"]["length_mm"] == 1000.0
     assert all(np.isfinite(v).all() for v in grid.values)
+
+
+def test_readme_command_block_names_each_subcommand_once():
+    # the block CI runs as written: the "spdcmaps " lines from
+    # "## Command line" to "## File formats", one per parser subcommand
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n## Command line"):
+                   text.index("\n## File formats")]
+    named = [line.split()[1] for line in section.splitlines()
+             if line.startswith("spdcmaps ")]
+    [sub] = [a for a in cli._build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(named) == sorted(sub.choices)

@@ -1,5 +1,7 @@
 """Constrained pump tilts and the self-compensation search."""
 
+import contextlib
+import io
 import math
 import os
 from dataclasses import replace
@@ -309,3 +311,20 @@ def test_tracked_target_builds_the_pump_cone_frame_once(monkeypatch):
     assert compensation.tracked_target(state) == want
     assert compensation.tracked_target(state) == want
     assert calls == [(state.pump.theta_p, state.pump.phi_p)]
+
+
+def test_readme_library_block_runs_as_written():
+    # the python block between "## Library use" and "## Testing"
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n## Library use"):text.index("\n## Testing")]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    values = [float(line) for line in out.getvalue().splitlines()]
+    assert len(values) == 3 and all(map(math.isfinite, values))
+    root = compensation.find_self_compensating_tilt(BBO_SRC, PHI)
+    assert abs(values[-1] - math.degrees(root)) <= 1e-6

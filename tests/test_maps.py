@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdcmaps import compensation, config, crystal, maps, phasematch, vecgeom
@@ -919,3 +919,128 @@ def test_grid_spec_rejects_a_window_whose_span_overflows(window, mode):
     assert exc.value.key == "grid"
     # half the bounds span at most 1e308, which is finite
     maps.GridSpec(5, 5, *(0.5 * b for b in window), mode=mode)
+
+
+def test_sweep_refuses_a_window_whose_farthest_corner_grazes():
+    # hypot(60, 60) / 5e-324 overflows; unrefused, the warning escapes
+    # the sweep, or the grazing cells come out NaN with no partner at fault
+    source = replace(BBO, detection_distance_mm=5e-324)
+    with pytest.raises(ConfigError, match="sine below 1") as exc:
+        maps.sweep_phase_map(source, maps.GridSpec(4, 3, -60, 60, -60, 60))
+    assert exc.value.key == "grid"
+
+
+@pytest.mark.parametrize("filter_nm", [0.0, math.nan, math.inf, -5.0])
+def test_sweep_refuses_a_filter_centre_not_finite_and_positive(filter_nm):
+    # only None selects the degenerate signal; 0.0 used to as well
+    gs = maps.GridSpec(3, 3, -10, 10, -10, 10)
+    for sweep in (maps.sweep_phase_map, maps.sweep_delay_map):
+        with pytest.raises(ConfigError) as exc:
+            sweep(BBO, gs, filter_center_nm=filter_nm)
+        assert exc.value.key == "filter_center_nm"
+
+
+# ------------------------------------------------------------- symmetries
+
+# (material, pump nm): each shipped material at its shipped pump
+_PUMPS = (("BBO", 405.0), ("LiIO3", 351.1))
+
+# 10x the largest gap of a 10 000-draw calibration of each property
+MIRROR_PHASE_REL = 4.4e-15
+MIRROR_DELAY_FS = 5.5e-11
+FLIP_PHASE_REL = 3.3e-15
+
+
+def _mirror_source(pump, cut1_deg, cut2_deg, d1, d2, tilt_deg,
+                   axis1_deg=None):
+    """Crystal 2 cut in the y-z plane, crystal 1 in the x-z plane (or at
+    axis1_deg, (polar, azimuth)), and the pump tilted by tilt_deg in the
+    y-z plane (phi_p 90 deg) with co-rotated axes."""
+    m = crystal.get_material(pump[0])
+    ax1 = (cut1_deg, 0.0) if axis1_deg is None else axis1_deg
+    c1 = crystal.CrystalSpec(m, d1, *map(math.radians, ax1))
+    c2 = crystal.CrystalSpec(m, d2, math.radians(cut2_deg), math.radians(90.0))
+    p = PumpConfig(pump[1], math.radians(tilt_deg), math.radians(90.0))
+    return compensation.constrained_pump_state(
+        p, maps.SourceConfig(c1, c2, PumpConfig(pump[1])))
+
+
+def _cone_coord(source, offset_deg, psi_deg, detune):
+    """The signal at frequency (1 + detune) omega_p / 2, offset_deg from
+    the pump's external direction at cone azimuth psi_deg."""
+    c = phasematch.degenerate_coord(source.pump, math.radians(offset_deg),
+                                    math.radians(psi_deg))
+    return replace(c, omega=c.omega * (1.0 + detune))
+
+
+def _phase_and_delays(source, coord):
+    """(phase, dt_s, dt_i) at coord; None where the partner is evanescent."""
+    try:
+        return (maps.relative_phase(source, coord),
+                maps.time_delay(source, coord, "s"),
+                maps.time_delay(source, coord, "i"))
+    except KinematicsError:
+        return None
+
+
+_SOURCE_DRAWS = dict(
+    pump=st.sampled_from(_PUMPS), cut1=st.floats(20.0, 40.0),
+    cut2=st.floats(20.0, 40.0), d1=st.floats(0.1, 2.0),
+    d2=st.floats(0.1, 2.0), tilt=st.floats(0.0, 60.0),
+    offset=st.floats(0.0, 8.0), psi=st.floats(-180.0, 180.0),
+    detune=st.floats(-0.03, 0.03))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_SOURCE_DRAWS)
+def test_maps_mirror_under_phi_to_180_minus_phi(pump, cut1, cut2, d1, d2,
+                                                tilt, offset, psi, detune):
+    """With the pump and crystal 2's axis in the y-z plane, x -> -x maps
+    the source onto itself: the phase and both delays at (theta, 180 deg -
+    phi) equal those at (theta, phi).  A term that mixes x and y, such as
+    t.rx * ay in _phase_values, breaks this.  A flipped sign on t.rx, on
+    t.ry or on either transverse term of _partner does not, since each
+    such term stays even under x -> -x; nor does the walkoff term that
+    _phase_values counts twice.  The phi -> -phi property below catches a
+    flipped sign on _partner's y term."""
+    source = _mirror_source(pump, cut1, cut2, d1, d2, tilt)
+    coord = _cone_coord(source, offset, psi, detune)
+    here = _phase_and_delays(source, coord)
+    assume(here is not None)
+    there = _phase_and_delays(source, replace(coord, phi=math.pi - coord.phi))
+    assert abs(there[0] - here[0]) <= MIRROR_PHASE_REL * abs(here[0])
+    assert abs(there[1] - here[1]) <= MIRROR_DELAY_FS
+    assert abs(there[2] - here[2]) <= MIRROR_DELAY_FS
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SOURCE_DRAWS, axis_theta=st.floats(0.0, 90.0),
+       axis_phi=st.floats(-180.0, 180.0))
+def test_crystal1_axis_does_not_enter_the_maps(pump, cut1, cut2, d1, d2,
+                                               tilt, offset, psi, detune,
+                                               axis_theta, axis_phi):
+    # crystal 1 carries only the pump's ordinary leg into the maps
+    source = _mirror_source(pump, cut1, cut2, d1, d2, tilt)
+    moved = _mirror_source(pump, cut1, cut2, d1, d2, tilt,
+                           (axis_theta, axis_phi))
+    coord = _cone_coord(source, offset, psi, detune)
+    here = _phase_and_delays(source, coord)
+    assume(here is not None)
+    assert list(map(float.hex, _phase_and_delays(moved, coord))) == \
+        list(map(float.hex, here))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pump=st.sampled_from(_PUMPS), cut2=st.floats(20.0, 40.0),
+       d2=st.floats(0.1, 2.0), theta=st.floats(0.0, 8.0),
+       phi=st.floats(-180.0, 180.0))
+def test_degenerate_normal_incidence_phase_keeps_phi_to_minus_phi(
+        pump, cut2, d2, theta, phi):
+    # the pair swap s -> -s composed with the x mirror
+    source = _mirror_source(pump, 30.0, cut2, 0.6, d2, 0.0)
+    w = 0.5 * source.pump.omega
+    a = maps.relative_phase(
+        source, EmissionCoord(w, math.radians(theta), math.radians(phi)))
+    b = maps.relative_phase(
+        source, EmissionCoord(w, math.radians(theta), -math.radians(phi)))
+    assert abs(b - a) <= FLIP_PHASE_REL * abs(a)
