@@ -6,6 +6,10 @@ are flattened to dotted paths before validation.  Angles cross this
 boundary in degrees, lengths in mm, wavelengths in nm; the objects
 underneath work in radians.  Unknown keys are rejected and every
 violation is reported with its full key path, first one wins.
+
+Files and ``--set`` values parse with crystal's one YAML base loader
+(libyaml's where PyYAML has it), plus YAML 1.2's exponent floats; a
+text that loader cannot parse or encode is a ConfigError.
 """
 
 import math
@@ -80,7 +84,7 @@ def _flatten(node, prefix, out):
     return out
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(crystal._YamlLoader):
     """Safe loader that reads ``5e6``, ``-5e1`` and ``1e-3`` as floats, as
     YAML 1.2 does (PyYAML's YAML 1.1 rules leave them strings)."""
 
@@ -95,7 +99,7 @@ def load_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_Loader)
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+    except (yaml.YAMLError, UnicodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if raw is None:
         raw = {}
@@ -112,7 +116,7 @@ def parse_override(text):
         raise ConfigError(f"override {text!r} is not of the form key=value")
     try:
         return key, yaml.load(value, Loader=_Loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeError) as exc:
         raise ConfigError(f"cannot parse override value: {exc}",
                           key=key) from None
 

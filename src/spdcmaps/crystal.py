@@ -38,6 +38,10 @@ import yaml
 
 from .errors import ConfigError, RangeError
 
+# the one YAML base loader of the package: libyaml's scanner where PyYAML
+# was built with it, the pure-Python one otherwise
+_YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 C_NM_FS = 299.792458  # vacuum speed of light, nm per fs
 
 def omega_from_nm(lam_nm):
@@ -158,7 +162,7 @@ def _load_registry_dict(raw):
 @lru_cache(maxsize=1)
 def _registry():
     text = resources.files("spdcmaps").joinpath("data/materials.yaml").read_text()
-    return _load_registry_dict(yaml.safe_load(text))
+    return _load_registry_dict(yaml.load(text, Loader=_YamlLoader))
 
 
 def available_materials():
