@@ -9,16 +9,9 @@ the source (CrystalSpec, PumpConfig, SourceConfig), evaluate pointwise
 or both at once with find_self_compensating_tilt).  Angles are radians
 and frequencies rad/fs everywhere inside the library; degrees/nm/mm
 appear only at the CLI and config boundary.
-
-A config build needs neither the tilt search nor the map files, so
-``compensation`` and ``mapio``, and the names re-exported from them, are
-imported on first access (PEP 562); ``from spdcmaps import *`` binds them
-all the same.
 """
 
 __version__ = "0.1.0"
-
-from importlib import import_module as _import_module
 
 from .crystal import (C_NM_FS, CrystalSpec, Material, available_materials,
                       get_material, group_index, nm_from_omega,
@@ -34,25 +27,11 @@ from .maps import (ANGULAR_MODE, DETECTION_MODE, GROUP_ALONG_RAY,
                    SourceConfig, fit_quadratic_profile, profile_line,
                    relative_phase, source_snapshot, sweep_delay_map,
                    sweep_phase_map, time_delay, time_intervals)
+from .compensation import (DELAY_TOLERANCE_FS, TiltSample, TiltScanResult,
+                           constrained_pump_state,
+                           find_self_compensating_tilt, refine_tilt,
+                           scan_tilt, tilt_delay, tracked_target)
 from .config import RunConfig, build_run_config, load_config_file
+from .mapio import read_map_csv, write_map_csv, write_sidecar
 
-# name -> the submodule it comes from; a submodule maps to itself
-_LAZY = {"compensation": "compensation", "mapio": "mapio"}
-_LAZY.update(dict.fromkeys(
-    ("DELAY_TOLERANCE_FS", "TiltSample", "TiltScanResult",
-     "constrained_pump_state", "find_self_compensating_tilt", "refine_tilt",
-     "scan_tilt", "tilt_delay", "tracked_target"), "compensation"))
-_LAZY.update(dict.fromkeys(
-    ("read_map_csv", "write_map_csv", "write_sidecar"), "mapio"))
-
-__all__ = sorted({name for name in dir() if not name.startswith("_")}
-                 | set(_LAZY))
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = _import_module(f"{__name__}.{_LAZY[name]}")
-    value = module if name == _LAZY[name] else getattr(module, name)
-    globals()[name] = value
-    return value
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""The package's one YAML loader and its lazily imported submodules.
+"""The package's one YAML loader.
 
 Configs, ``--set`` values and the materials registry parse through
 ``crystal._YamlLoader``: libyaml's scanner where PyYAML has it, the
@@ -51,8 +51,6 @@ def _run(script):
 # ------------------------------------------------------------ the loader
 
 def test_config_loader_is_built_on_the_package_loader():
-    assert crystal._YamlLoader is getattr(yaml, "CSafeLoader",
-                                          yaml.SafeLoader)
     assert issubclass(config._Loader, crystal._YamlLoader)
 
 
@@ -138,48 +136,3 @@ print(repr(sorted(crystal._registry().items())))
     expected.append(repr(sorted(crystal._registry().items())))
     assert _run(script).splitlines() == expected
 
-
-# ----------------------------------------------------- the lazy package
-
-ALL = [
-    "ANGULAR_MODE", "C_NM_FS", "ConfigError", "CrystalSpec",
-    "DELAY_TOLERANCE_FS", "DETECTION_MODE", "DataFormatError",
-    "EmissionCoord", "FitError", "GROUP_ALONG_RAY", "GROUP_ALONG_WAVEVECTOR",
-    "GridSpec", "KinematicsError", "MapGrid", "Material", "NoSolutionError",
-    "PumpConfig", "QuadraticFit", "RangeError", "RefractionError",
-    "RunConfig", "SourceConfig", "SpdcError", "TiltSample", "TiltScanResult",
-    "amplitude_weight", "available_materials", "build_run_config",
-    "compensation", "config", "conjugate", "constrained_pump_state",
-    "crystal", "degenerate_emission_angle", "delta_kappa", "errors",
-    "find_self_compensating_tilt", "fit_quadratic_profile", "get_material",
-    "group_index", "load_config_file", "mapio", "maps", "nm_from_omega",
-    "omega_from_nm", "phasematch", "profile_line", "pump_internal_state",
-    "read_map_csv", "refine_tilt", "relative_phase", "scan_tilt", "solvers",
-    "source_snapshot", "sweep_delay_map", "sweep_phase_map", "tilt_delay",
-    "time_delay", "time_intervals", "tracked_target", "vecgeom",
-    "walkoff_angle", "write_map_csv", "write_sidecar",
-]
-
-
-def test_public_names_are_unchanged():
-    assert sorted(spdcmaps.__all__) == ALL
-    assert not hasattr(spdcmaps, "no_such_name")
-
-
-def test_config_build_leaves_mapio_and_compensation_unimported():
-    script = f"""
-import sys
-import spdcmaps
-from spdcmaps import config
-config.build_run_config(config.load_config_file({CONFIGS[0]!r}))
-print(sorted(m for m in sys.modules
-             if m in ("spdcmaps.mapio", "spdcmaps.compensation")))
-assert spdcmaps.read_map_csv is spdcmaps.mapio.read_map_csv
-assert spdcmaps.scan_tilt is sys.modules["spdcmaps.compensation"].scan_tilt
-names = {{}}
-exec("from spdcmaps import *", names)
-print(sorted(name for name in names if name != "__builtins__"))
-"""
-    unimported, bound = _run(script).splitlines()
-    assert unimported == "[]"
-    assert bound == repr(ALL)
