@@ -190,8 +190,9 @@ def _build_parser():
             sp.add_argument("--grid", metavar="NXxNY",
                             help="override the grid resolution")
             sp.add_argument("--workers", type=int, default=None,
-                            help="accepted for compatibility; has no effect "
-                                 "(sweeps run on one thread)")
+                            help="processes that share a large sweep "
+                                 "(default min(4, usable CPUs)); the map "
+                                 "does not depend on it")
             sp.add_argument("--filter-nm", type=float, dest="filter_nm",
                             help="narrow-filter center wavelength [nm]")
 

@@ -790,6 +790,18 @@ def test_cli_worker_count_does_not_change_bytes(tmp_path, li_cfg, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_worker_count_below_one_exits_config(tmp_path, li_cfg, capsys,
+                                                  workers):
+    for cmd in ("phase-map", "delay-map", "fit"):
+        out = tmp_path / f"{cmd}.csv"
+        assert cli.main([cmd, "--config", li_cfg, "--workers", workers,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "workers" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_cli_set_override_changes_result(tmp_path, li_cfg):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(["phase-map", "--config", li_cfg, "--out", str(a)]) == 0
