@@ -16,6 +16,7 @@ timestamps (those live in the JSON sidecar).  Exit codes: 0 success,
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -52,6 +53,11 @@ def _load_run(args):
     return config.build_run_config(flat)
 
 
+def _same_path(a, b):
+    return os.path.normcase(os.path.abspath(a)) == \
+        os.path.normcase(os.path.abspath(b))
+
+
 def _write_grid(grid, out, rc):
     ny, nx = grid.values[0].shape
     for name, plane in zip(grid.value_names, grid.values):
@@ -75,6 +81,10 @@ def _write_grid(grid, out, rc):
 
 
 def cmd_map(args):
+    if args.out and _same_path(args.out, mapio.sidecar_path(args.out)):
+        raise ConfigError(f"{args.out!r} is the name of its own JSON "
+                          f"sidecar; give the map another extension, such "
+                          f"as .csv", key="--out")
     rc = _load_run(args)
     grid = args.sweep(rc.source, rc.grid, filter_center_nm=rc.filter_nm,
                       workers=args.workers)

@@ -7,15 +7,20 @@ varying fastest.  Floats carry 17 significant digits, so they read back
 bitwise, and invalid cells are spelled ``NA``.  The same data always
 gives the same bytes; the only timestamp is in the JSON sidecar.
 
-Every float is written as the bytes ``"%.17g" % v`` gives.  Zeros and
-the floats with 1e-4 <= |v| < 1e16, all fixed notation, numpy formats a
-block at a time (_format): the digits come from an exactly rounded
-integer, the text from lookup tables.  Ties of the 17th digit and every
-other value, infinities included, are left to ``"%.17g"`` itself.
+Every float is written as the bytes ``"%.17g" % v`` gives.  Of the
+values, zeros and the floats with 1e-4 <= |v| < 1e16, all fixed
+notation, numpy formats a block at a time into 32-byte slots (_format):
+the digits come from an exactly rounded integer, the text from lookup
+tables.  Ties of the 17th digit and every other value, infinities
+included, are left to ``"%.17g"`` itself.  A map's coordinates take one
+text per axis value, which ``"%.17g"`` writes as a field (_fields): the
+text and ',', NUL-padded to the widest beside it, the x fields once per
+file and the y fields once per block.  A row is then its x field, its y
+field and a slot per value, and the NULs are dropped.
 
 Files are written a block of grid rows at a time and read a block of
 text at a time, so memory does not grow with the file: the writer holds
-one block's text, the reader one block's lines plus the planes it
+one block's rows, the reader one block's lines plus the planes it
 returns, into which each block is parsed.  A map whose ``shape`` is not
 a grid of 1 to 2^24 cells (the sweep's cap), or whose planes would hold
 more than the 2^26 values of a delay map at that cap, is refused before
@@ -177,34 +182,59 @@ def _format(values):
     return chars
 
 
-def _write_table(path, title, fields, meta, shape, ncols, fill):
-    """'# <title>', a '# key: value' line per field and '# meta: <json>',
-    then one row of ncols comma-separated floats per cell of a (ny, nx)
-    grid, row-major.
+def _fields(values):
+    """The (n, width) bytes of n coordinates: each one's text and ',',
+    left-aligned and NUL-padded to the widest.  There are few of them, and
+    "%.17g" itself writes them faster than _format and a compaction."""
+    text = np.array([b"NA," if v != v else b"%.17g," % v
+                     for v in np.asarray(values, dtype=float).tolist()])
+    return text.view(np.uint8).reshape(len(text), -1)
 
-    fill(i, j, chars) fills the (cells, ncols, 4) word slots of grid rows
-    i to j with _format's.  Rows are formatted and written a block of whole
-    grid rows at a time, the sweep's blocks, into slots allocated once:
-    memory is bounded by one block, not by the file.
+
+def _write_table(path, title, fields, meta, axes, columns):
+    """'# <title>', a '# key: value' line per field and '# meta: <json>',
+    then a comma-separated row per cell of a (ny, nx) grid, row-major.
+
+    axes is a map's x and y, whose values lead each row, or () for a
+    table, an (ny, 1) grid; columns are the per-cell floats, each a (ny,
+    nx) plane or ny values.  A row is assembled as [x field | y field |
+    a 32-byte _format slot per column, its last byte a comma or the line
+    end], and the NULs are dropped.  The x fields (_fields) are made once;
+    the y fields and the slots a block of whole grid rows at a time, the
+    sweep's blocks, in a buffer allocated once: memory is bounded by one
+    block, not by the file.
     """
-    ny, nx = shape
+    ny = len(columns[0])
+    nx = len(axes[0]) if axes else 1
     blocks = maps._row_blocks(ny, nx)
     lines = [f"# {title}"]
     lines += (f"# {key}: {value}" for key, value in fields)
     lines.append("# meta: " + json.dumps(meta, sort_keys=True,
                                          separators=(",", ":")))
-    ends = np.full(ncols, ord(","), np.uint8)
+    none = np.empty((ny, 0), np.uint8)  # a table's rows lead with no field
+    xs = _fields(axes[0]) if axes else none[:1]
+    wx = xs.shape[1]
+    ends = np.full(len(columns), ord(","), np.uint8)
     ends[-1] = ord("\n")
-    # the first block is the largest; a profile may have no rows
-    chars = np.empty((blocks[0][1] * nx if blocks else 0, ncols, 4), _WORD)
+    # a y field takes less than a slot; the first block is the largest,
+    # and a profile may have no rows
+    most = wx + 32 * (len(columns) + bool(axes))
+    buf = np.empty(blocks[0][1] * nx * most if blocks else 0, np.uint8)
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
         for i, j in blocks:
-            k = (j - i) * nx
-            fill(i, j, chars[:k])
-            text = chars[:k].view(np.uint8)
-            text[:, :, 31] = ends
-            fh.write(text[text != 0])
+            ys = _fields(axes[1][i:j]) if axes else none[i:j]
+            at = wx + ys.shape[1]  # where the slots start
+            width = at + 32 * len(columns)
+            rows = buf[:(j - i) * nx * width].reshape(j - i, nx, width)
+            rows[:, :, :wx] = xs
+            rows[:, :, wx:at] = ys[:, None]
+            cells = rows.reshape(-1, width)
+            for col, values in enumerate(columns):
+                cells[:, at + 32 * col:at + 32 * col + 32] = _format(
+                    values[i:j]).view(np.uint8).reshape(-1, 32)
+            cells[:, at + 31::32] = ends
+            fh.write(rows[rows != 0])
     return path
 
 
@@ -220,18 +250,8 @@ def write_map_csv(grid, path, version):
     fields = (("version", version), ("kind", grid.kind),
               ("mode", grid.mode), ("shape", f"{ny} {nx}"),
               ("columns", ",".join(grid.coord_names + grid.value_names)))
-    xs = _format(grid.coord1)
-
-    def fill(i, j, chars):
-        ys = _format(grid.coord2[i:j])
-        cells = chars.reshape(len(ys), nx, -1, 4)
-        cells[:, :, 0] = xs
-        cells[:, :, 1] = ys[:, None]
-        for col, plane in enumerate(grid.values, 2):
-            chars[:, col] = _format(plane[i:j])
-
-    return _write_table(path, FORMAT_NAME, fields, grid.metadata, (ny, nx),
-                        2 + len(grid.values), fill)
+    return _write_table(path, FORMAT_NAME, fields, grid.metadata,
+                        (grid.coord1, grid.coord2), grid.values)
 
 
 def write_sidecar(path, grid, version, extra):
@@ -376,10 +396,5 @@ def _read_map(path, fh):
 def write_profile_csv(path, version, columns, arrays, meta):
     """Profile export (fit output) in the map layout, one row per sample."""
     fields = (("version", version), ("columns", ",".join(columns)))
-
-    def fill(i, j, chars):
-        for col, values in enumerate(arrays):
-            chars[:, col] = _format(values[i:j])
-
-    return _write_table(path, f"{FORMAT_NAME} profile", fields, meta,
-                        (len(arrays[0]), 1), len(arrays), fill)
+    return _write_table(path, f"{FORMAT_NAME} profile", fields, meta, (),
+                        arrays)

@@ -628,6 +628,45 @@ def test_map_csv_memory_is_bounded_by_a_block(tmp_path):
     assert read_peak < 24e6
 
 
+def test_map_csv_memory_of_a_one_column_map_is_bounded_by_a_block(tmp_path):
+    # 262144 rows of one cell: y fields made for the whole axis at once
+    # took 79 MB to write this map
+    ny = 1 << 18
+    values = np.random.default_rng(5).normal(size=(ny, 1)) * 100.0
+    grid = maps.MapGrid(
+        kind="phase", mode=maps.DETECTION_MODE, coord1=np.array([0.0]),
+        coord2=np.linspace(-60.0, 60.0, ny), coord_names=("x_mm", "y_mm"),
+        value_names=("phase_deg",), values=(values,), metadata={})
+    path = str(tmp_path / "p.csv")
+    tracemalloc.start()
+    try:
+        mapio.write_map_csv(grid, path, "0.0-test")
+        write_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak < 8e6
+    assert mapio.read_map_csv(path).same_data(grid)
+
+
+def test_map_csv_y_fields_that_widen_in_a_later_block_match_the_oracle(
+        tmp_path):
+    # blocks of two rows: the y texts of the second block are wider than
+    # those of the first, and the later ones are -0, NA and inf
+    ys = np.array([1.0, 2.0, 1.2345678901234567e-300, 5.0, -0.0, math.nan,
+                   math.inf])
+    grid = maps.MapGrid(
+        kind="delay", mode=maps.DETECTION_MODE,
+        coord1=np.array([-1.5, 0.0, 2.5e-7]), coord2=ys,
+        coord_names=("x_mm", "y_mm"), value_names=("dt_s_fs", "dt_i_fs"),
+        values=(np.arange(21.0).reshape(7, 3) / 3.0,
+                np.full((7, 3), -1e300)), metadata={"nx": 3})
+    path = tmp_path / "m.csv"
+    with mock.patch.object(maps, "_CHUNK_CELLS", 6):
+        assert maps._row_blocks(7, 3) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        mapio.write_map_csv(grid, str(path), "0.0-test")
+    assert path.read_bytes() == _oracle_map(grid, "0.0-test")
+
+
 def test_map_csv_read_holds_one_copy_of_the_planes(tmp_path):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     rc = config.build_run_config(config.load_config_file(
@@ -778,6 +817,17 @@ def test_cli_grid_and_filter_flags_reach_the_sidecar(tmp_path, li_cfg,
     side = json.loads((tmp_path / "d.json").read_text())["config"]
     assert (side["grid.nx"], side["grid.ny"]) == (3, 2)
     assert side["filter.center_nm"] == 690.0
+
+
+@pytest.mark.parametrize("cmd", ["phase-map", "delay-map"])
+def test_cli_out_that_names_its_own_sidecar_exits_config(tmp_path, li_cfg,
+                                                        capsys, cmd):
+    # the sidecar of m.json is m.json: unrefused, it overwrote the map
+    code = cli.main([cmd, "--config", li_cfg, "--out",
+                     str(tmp_path / "m.json")])
+    assert code == 2
+    assert "--out" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["li.yaml"]
 
 
 def test_cli_worker_count_does_not_change_bytes(tmp_path, li_cfg, capsys):
