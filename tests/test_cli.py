@@ -629,8 +629,8 @@ def test_map_csv_memory_is_bounded_by_a_block(tmp_path):
 
 
 def test_map_csv_memory_of_a_one_column_map_is_bounded_by_a_block(tmp_path):
-    # 262144 rows of one cell: y fields made for the whole axis at once
-    # took 79 MB to write this map
+    # 262144 rows of one cell: with the y fields made for the whole axis
+    # at once, writing this map peaked at 31 MB
     ny = 1 << 18
     values = np.random.default_rng(5).normal(size=(ny, 1)) * 100.0
     grid = maps.MapGrid(
