@@ -24,11 +24,12 @@ from spdcmaps.errors import SpdcError
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # (theta, phi) in degrees, then the signal's share of the pump frequency
-# where it is not one half.  The last row of each list has a partner
-# evanescent in air.
+# where it is not one half.  At a share of 0.06 the signal lies outside
+# crystal 2's dispersion window while its partner does not.  The last row
+# of each list has a partner evanescent in air.
 NORMAL_CELLS = [(0.0, 0.0), (0.5, 30.0), (1.0, -45.0), (2.0, 90.0),
                 (2.6, 180.0), (3.0, 0.0), (3.2, 137.0), (4.0, -100.0),
-                (2.9, 0.0, 0.55), (60.0, 10.0, 0.58)]
+                (2.9, 0.0, 0.55), (2.0, 30.0, 0.06), (60.0, 10.0, 0.58)]
 TILTED_CELLS = [(50.0, 60.0), (50.0, 90.0), (45.0, 75.0), (55.0, 105.0),
                 (60.0, 60.0), (62.5, 82.0), (70.0, 90.0), (40.0, 80.0),
                 (65.0, 120.0), (30.0, 30.0)]

@@ -139,7 +139,8 @@ def cmd_find_tilt(args):
 
 def cmd_fit(args):
     if args.profile:
-        for flag in ("--config", "--set", "--grid", "--filter-nm"):
+        for flag in ("--config", "--set", "--grid", "--filter-nm",
+                     "--workers"):
             if getattr(args, flag[2:].replace("-", "_")) not in (None, []):
                 raise ConfigError("fit --profile fits the file as written "
                                   "and takes no config flags", key=flag)

@@ -335,7 +335,7 @@ def _read_map(path, fh):
         raise DataFormatError(f"{path}: unknown grid mode {mode!r}")
     n, ncols = ny * nx, len(cols)
     # the widest map a sweep writes, its widest kind at the cap
-    widest = 2 + max(len(names) for names, _ in maps._KINDS.values())
+    widest = 2 + max(len(kind[0]) for kind in maps._KINDS.values())
     if n * ncols > widest * maps._MAX_CELLS:
         raise DataFormatError(f"{path}: shape {ny} x {nx} with {ncols} "
                               f"columns is more than 2^26 values")

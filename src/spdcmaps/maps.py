@@ -8,26 +8,27 @@ arrival-time difference between those two birth histories, as functions of
 where (and at what frequency) the photons land on a distant detection
 plane, are what this module evaluates, pointwise and on grids.
 
-Grid sweeps run elementwise array kernels on blocks of whole rows and
-mark bad cells NaN.  On Linux, a grid of at least _FORK_CELLS cells is
-split into contiguous shares of blocks, all but the first swept in
-forked child processes (_fill_forked); the planes are bitwise the same
-for every workers count.  Pointwise operations run the same kernels
-on one EmissionCoord's 0-d values, so relative_phase and time_delay for
-either photon reproduce the phase and both delay columns bitwise.  The 0-d
-values are plain floats: numpy computes only the coordinate's sin/cos
-(_at), the kernels' selections are plain ifs (vecgeom._select and
-_clamp0) and their roots math.sqrt (crystal._sqrt), so a pointwise call
-runs at Python-float cost.  The kernels work on air-side transverse
-components (vecgeom._transverse) and share the one copy of the
-conservation law (phasematch._partner) and of the entry from air
-(vecgeom._Transit), which always exists, so a NaN cell has one cause:
-the partner photon is evanescent in air.  Pointwise, relative_phase and
-photon 'i' raise KinematicsError there, and first where omega_p -
-omega_s <= 0; any call raises it for a photon grazing the face (its
-sine rounding to 1).  A sweep refuses a window where a photon would
-graze: GridSpec an angular one, _sweep one on the detection plane.  No
-pointwise call raises RefractionError.
+Sweeps read one cell record (_record) per block of whole rows, on
+air-side transverse components (vecgeom._transverse): the signal, its
+partner, solved first by the one copy of the conservation law
+(phasematch._partner), and each photon's crystal-2 entry from air
+(vecgeom._Transit), built once and reduced by the kernels
+(_phase_values, _delay_values) into every kind's planes (_KINDS) before
+the next.  On Linux, a grid of at least _FORK_CELLS cells is split into
+contiguous shares of blocks, all but the first swept in forked child
+processes (_fill_forked); the planes are bitwise the same for every
+workers count.  Pointwise calls run the record, or one photon's part of
+it (_at), on an EmissionCoord's 0-d values, so they reproduce the phase
+and both delay columns bitwise.  These are plain floats: numpy computes
+only the coordinate's sin/cos, selections are plain ifs
+(vecgeom._select, _clamp0) and roots math.sqrt (crystal._sqrt), so a
+pointwise call runs at Python-float cost.  The transit always exists, so
+a sweep marks a cell NaN for one cause: the partner is evanescent in
+air.  Pointwise, relative_phase and photon 'i' raise KinematicsError
+there, and first where omega_p - omega_s <= 0; any call raises it for a
+photon grazing the face (its sine rounding to 1).  A sweep refuses a
+window where a photon would graze: GridSpec an angular one, sweep_maps
+one on the detection plane.  No pointwise call raises RefractionError.
 
 The delays add up the transit times of the legs of each birth history.
 One law, _leg_fs, times the photon's extraordinary leg through crystal
@@ -168,30 +169,25 @@ def source_snapshot(source):
 
 # ------------------------------------------------------------ array kernels
 
-def _phase_values(source, w_s, sx, sy):
-    """Relative phase (radians) for arrays of signal transverse components."""
-    spec2 = source.crystal2
-    d2 = spec2.length_mm
-    w_i, six, siy = phasematch._partner(source.pump, w_s, sx, sy)
-    total = 0.0
-    for w, ax, ay in ((w_s, sx, sy), (w_i, six, siy)):
-        t = _Transit(spec2, w, ax, ay)
-        term = t.n * t.cos_rho + t.rx * ax + t.ry * ay
-        total = total + (w * d2 * 1e6 / (C_NM_FS * t.rz)) * term
-    return total + source._phase_offset
+def _phase_values(source, w, sx, sy, t):
+    """A photon's share of the relative phase (radians) at frequency w and
+    air-side components (sx, sy), over its crystal-2 transit t."""
+    term = t.n * t.cos_rho + t.rx * sx + t.ry * sy
+    return (w * source.crystal2.length_mm * 1e6 / (C_NM_FS * t.rz)) * term
 
 
-def _leg_fs(source, spec, w, sx, sy, length, polarization):
+def _leg_fs(source, spec, w, sx, sy, length, polarization, t=None):
     """Transit time (fs) over length mm of plate spec on branch "o" or "e"
     (as in crystal.group_index) at frequency w, entered from air with
     transverse components (sx, sy): length n_g / (c r_z), r_z the z
-    component of the unit ray.  On "e", n_g follows group_convention."""
+    component of the unit ray.  On "e", n_g follows group_convention along
+    t, the _Transit of (spec, w, sx, sy), built here where None."""
     if polarization == "o":
         n_o = crystal._indices(spec.material, w)[1]
         ng = crystal._principal_group(spec.material, w)[0]
         rz = crystal._ordinary_kz(n_o, sx, sy) / n_o
     else:
-        t = _Transit(spec, w, sx, sy)
+        t = _Transit(spec, w, sx, sy) if t is None else t
         ray = source.group_convention == GROUP_ALONG_RAY
         ng = crystal.group_index(spec.material, w, polarization,
                                  cos_alpha=t.ca_ray if ray else t.ca_k)
@@ -199,19 +195,19 @@ def _leg_fs(source, spec, w, sx, sy, length, polarization):
     return (1e6 / C_NM_FS) * (length * ng / rz)
 
 
-def _delay_values(source, w, sx, sy):
-    """Time delay (fs) for the photon species at frequency w located at the
-    given transverse direction components; arrays in, array out."""
+def _delay_values(source, w, sx, sy, t):
+    """Time delay (fs) of the photon at frequency w and air-side
+    components (sx, sy), over its crystal-2 transit t."""
     c2 = source.crystal2
     # two scaled terms, subtracted last: _interval_values adds this value
     # to t2, so t1 - t2 reproduces it when the plates are equal
-    return (_leg_fs(source, c2, w, sx, sy, c2.length_mm, "e")
+    return (_leg_fs(source, c2, w, sx, sy, c2.length_mm, "e", t)
             - source._pump_transit1)
 
 
-def _interval_values(source, w, sx, sy):
-    """Birth-to-exit transit times (t1, t2) in fs for the photon species at
-    frequency w located at the given transverse direction components."""
+def _interval_values(source, w, sx, sy, t):
+    """Birth-to-exit transit times (t1, t2) in fs of the photon at frequency
+    w and air-side components (sx, sy), over its crystal-2 transit t."""
     c1, c2 = source.crystal1, source.crystal2
     mu = source.mu
     k = 1e6 / C_NM_FS
@@ -221,7 +217,7 @@ def _interval_values(source, w, sx, sy):
         # ordinary from there to the exit face of its birth crystal
         pe.append(k * (mu * c.length_mm * ng_pe))
         o.append(_leg_fs(source, c, w, sx, sy, (1.0 - mu) * c.length_mm, "o"))
-    dt = _delay_values(source, w, sx, sy)
+    dt = _delay_values(source, w, sx, sy, t)
     t2 = (pe[1] + o[1]) + source._pump_transit1
     # equal birth segments cancel exactly, so equal plates give
     # t1 - t2 = dt at working precision
@@ -229,19 +225,29 @@ def _interval_values(source, w, sx, sy):
     return t1, t2
 
 
-def _at(kernel, source, coord, photon="s"):
-    """Pointwise evaluation of an array kernel on 0-d values: at coord
-    itself for photon 's', at its partner for 'i', reached as the sweeps
-    reach it.  Returns a float or a tuple of floats.  KinematicsError from
-    phasematch._partner, or where a value is not finite (a photon grazing
-    the face)."""
+def _record(source, w_s, sx, sy, kernel):
+    """The cell record: kernel(source, w, sx, sy, t) for the signal at w_s
+    and air-side components (sx, sy), arrays or 0-d values, then for its
+    partner, solved first (phasematch._partner), each over its crystal-2
+    _Transit t, built once and dropped before the next one is built."""
+    w_i, six, siy = phasematch._partner(source.pump, w_s, sx, sy)
+    c2 = source.crystal2
+    signal = kernel(source, w_s, sx, sy, _Transit(c2, w_s, sx, sy))
+    return signal, kernel(source, w_i, six, siy, _Transit(c2, w_i, six, siy))
+
+
+def _at(kernel, source, coord, photon):
+    """Pointwise evaluation of a kernel on 0-d values, a float or a tuple
+    of them: the cell record's part for photon 's' (coord) or 'i' (its
+    partner, reached as the sweeps reach it).  KinematicsError from
+    _partner, or where a value is not finite (a photon grazing the face)."""
     if photon not in ("s", "i"):
         raise ValueError(f"photon must be 's' or 'i', got {photon!r}")
     w = coord.omega
     sx, sy = map(float, vecgeom._transverse(coord.theta, coord.phi))
     if photon == "i":
         w, sx, sy = phasematch._partner(source.pump, w, sx, sy)
-    vals = kernel(source, w, sx, sy)
+    vals = kernel(source, w, sx, sy, _Transit(source.crystal2, w, sx, sy))
     out = tuple(map(float, vals)) if isinstance(vals, tuple) else (float(vals),)
     if not all(map(math.isfinite, out)):
         raise KinematicsError("photon grazes the face")
@@ -260,7 +266,12 @@ def relative_phase(source, signal):
     where the partner frequency is not positive or the partner is
     evanescent in air.
     """
-    return _at(_phase_values, source, signal)
+    sx, sy = map(float, vecgeom._transverse(signal.theta, signal.phi))
+    s, i = _record(source, signal.omega, sx, sy, _phase_values)
+    phase = float(s + i + source._phase_offset)
+    if not math.isfinite(phase):
+        raise KinematicsError("photon grazes the face")
+    return phase
 
 
 def time_intervals(source, signal, photon="s"):
@@ -401,18 +412,12 @@ def _row_blocks(ny, nx):
     return [(i, min(i + rows, ny)) for i in range(0, ny, rows)]
 
 
-def _phase_planes(source, w_s, sx, sy):
-    return (np.degrees(_phase_values(source, w_s, sx, sy)),)
-
-
-def _delay_planes(source, w_s, sx, sy):
-    return (_delay_values(source, w_s, sx, sy), _delay_values(
-        source, *phasematch._partner(source.pump, w_s, sx, sy)))
-
-
-# each map kind's (value-column names, plane kernel), beside _COORDS
-_KINDS = {"phase": (("phase_deg",), _phase_planes),
-          "delay": (("dt_s_fs", "dt_i_fs"), _delay_planes)}
+# each map kind's value-column names, its kernel on one photon's transit
+# (named, and looked up when a sweep runs), and its planes from (s, i)
+_KINDS = {"phase": (("phase_deg",), "_phase_values", lambda source, s, i: (
+              np.degrees(s + i + source._phase_offset),)),
+          "delay": (("dt_s_fs", "dt_i_fs"), "_delay_values",
+                    lambda source, s, i: (s, i))}
 
 
 def _signal_omega(pump, filter_center_nm, key="filter_center_nm"):
@@ -508,14 +513,16 @@ def _fill_forked(fill, planes, shares):
         plane[top:] = rows
 
 
-def _sweep(source, grid_spec, filter_center_nm, kind, workers):
-    """MapGrid of the kind's planes, evaluated at _signal_omega's
-    frequency on blocks of whole grid rows, split into _processes(...)
-    contiguous shares (_fill_forked).  On the detection plane, a window
-    whose farthest corner grazes the face (GridSpec's rule on the sweep's
-    own polar angle there) is a ConfigError keyed grid; so is a bad
-    workers (_check_workers), keyed workers."""
-    value_names, kernel = _KINDS[kind]
+def sweep_maps(source, grid_spec, kinds, filter_center_nm=None, workers=None):
+    """A MapGrid for each of kinds ("phase", "delay"; ValueError for none
+    or another), all from one _record per block of whole grid rows, in
+    _processes(...) contiguous shares (_fill_forked).  filter_center_nm and
+    workers as in sweep_phase_map; a detection-plane window whose farthest
+    corner grazes the face (GridSpec's rule) is a ConfigError keyed grid."""
+    kinds = tuple(kinds)
+    if not kinds or not all(kind in _KINDS for kind in kinds):
+        raise ValueError(f"kinds must be one or more of {tuple(_KINDS)}: "
+                         f"{kinds!r}")
     workers = _check_workers(workers)
     filter_nm, w_s = _signal_omega(source.pump, filter_center_nm)
     xs, ys = grid_spec.axes()
@@ -523,6 +530,7 @@ def _sweep(source, grid_spec, filter_center_nm, kind, workers):
         with np.errstate(over="ignore"):
             _check_top_polar(np.arctan(np.hypot(abs(xs).max(), abs(ys).max())
                                        / source.detection_distance_mm))
+    kernels = [globals()[_KINDS[kind][1]] for kind in kinds]
 
     def fill(out, blocks, top):
         # the blocks' rows into the planes out, whose row 0 is grid row top
@@ -534,23 +542,32 @@ def _sweep(source, grid_spec, filter_center_nm, kind, workers):
             else:
                 theta, phi = np.deg2rad(x), np.deg2rad(y)
             sx, sy = vecgeom._transverse(theta, phi)
-            for plane, vals in zip(out, kernel(source, w_s, sx, sy)):
-                plane[i - top:j - top] = vals
+            # freed first, so the partner's components replace the angles
+            del theta, phi
+            cells = _record(source, w_s, sx, sy, lambda *cell: [
+                kernel(*cell) for kernel in kernels])
+            vals = [v for kind, s, p in zip(kinds, *cells)
+                    for v in _KINDS[kind][2](source, s, p)]
+            for plane, v in zip(out, vals):
+                plane[i - top:j - top] = v
 
-    planes = [np.empty((grid_spec.ny, grid_spec.nx)) for _ in value_names]
+    planes = [[np.empty((grid_spec.ny, grid_spec.nx))
+               for _ in _KINDS[kind][0]] for kind in kinds]
+    flat = [plane for kind_planes in planes for plane in kind_planes]
     blocks = _row_blocks(grid_spec.ny, grid_spec.nx)
     k = _processes(workers, grid_spec.ny * grid_spec.nx, len(blocks))
     if k == 1:
-        fill(planes, blocks, 0)
+        fill(flat, blocks, 0)
     else:
         n = len(blocks)
-        _fill_forked(fill, planes, [blocks[n * s // k:n * (s + 1) // k]
-                                    for s in range(k)])
-    meta = {"source": source_snapshot(source), "filter_nm": filter_nm}
-    return MapGrid(kind=kind, mode=grid_spec.mode, coord1=xs, coord2=ys,
-                   coord_names=_COORDS[grid_spec.mode],
-                   value_names=value_names, values=tuple(planes),
-                   metadata=meta)
+        _fill_forked(fill, flat, [blocks[n * s // k:n * (s + 1) // k]
+                                  for s in range(k)])
+    return tuple(MapGrid(
+        kind=kind, mode=grid_spec.mode, coord1=xs, coord2=ys,
+        coord_names=_COORDS[grid_spec.mode], value_names=_KINDS[kind][0],
+        values=tuple(kind_planes), metadata={
+            "source": source_snapshot(source), "filter_nm": filter_nm})
+        for kind, kind_planes in zip(kinds, planes))
 
 
 def sweep_phase_map(source, grid_spec, filter_center_nm=None, workers=None):
@@ -563,14 +580,16 @@ def sweep_phase_map(source, grid_spec, filter_center_nm=None, workers=None):
     None or a whole number >= 1 is a ConfigError); the map is bitwise the
     same for every workers.
     """
-    return _sweep(source, grid_spec, filter_center_nm, "phase", workers)
+    return sweep_maps(source, grid_spec, ("phase",), filter_center_nm,
+                      workers)[0]
 
 
 def sweep_delay_map(source, grid_spec, filter_center_nm=None, workers=None):
     """Time-delay map: per cell, the delay of the photon detected there
     behind the filter (dt_s_fs) and the delay of its conjugate partner
     (dt_i_fs).  workers as in sweep_phase_map."""
-    return _sweep(source, grid_spec, filter_center_nm, "delay", workers)
+    return sweep_maps(source, grid_spec, ("delay",), filter_center_nm,
+                      workers)[0]
 
 
 # ---------------------------------------------------------------- analysis

@@ -1315,6 +1315,21 @@ def test_cli_fit_profile_refuses_config_flags(tmp_path, li_cfg, capsys,
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "2"])
+def test_cli_fit_profile_refuses_workers(tmp_path, li_cfg, capsys, workers):
+    # the file is fitted as written: no sweep runs for --workers to share
+    pm = tmp_path / "pm.csv"
+    assert cli.main(["phase-map", "--config", li_cfg, "--grid", "9x9",
+                     "--out", str(pm)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "fit.csv"
+    assert cli.main(["fit", "--profile", str(pm), "--out", str(out),
+                     "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --workers: ")
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("line", ["diag", "phi=nan"])
 def test_cli_fit_line_flag_is_the_config_key(tmp_path, li_cfg, capsys, line):
     out = tmp_path / "fit.csv"

@@ -17,7 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdcmaps import compensation, config, crystal, maps, phasematch, vecgeom
-from spdcmaps.errors import ConfigError, FitError, KinematicsError
+from spdcmaps.errors import (ConfigError, FitError, KinematicsError,
+                             RangeError)
 from spdcmaps.phasematch import EmissionCoord, PumpConfig
 
 import scalar_oracle
@@ -1044,3 +1045,92 @@ def test_degenerate_normal_incidence_phase_keeps_phi_to_minus_phi(
     b = maps.relative_phase(
         source, EmissionCoord(w, math.radians(theta), -math.radians(phi)))
     assert abs(b - a) <= FLIP_PHASE_REL * abs(a)
+
+
+# ------------------------------------------- one cell record, many planes
+
+@pytest.mark.parametrize("photon", [None, "S", "si", ""])
+def test_pointwise_photon_must_be_s_or_i(photon):
+    c = coord_at(10.0, 5.0, W_BBO)
+    for fn in (maps.time_delay, maps.time_intervals):
+        with pytest.raises(ValueError, match="photon must be 's' or 'i'"):
+            fn(BBO, c, photon)
+
+
+@pytest.mark.parametrize("source, want", [
+    (LI, -523.3898949872264), (BBO, -128.7973867122505)])
+def test_partner_alone_builds_no_transit_of_the_signal(source, want):
+    # a signal at 0.06 omega_p (5852 nm in LiIO3, 6750 nm in BBO) lies
+    # outside crystal 2's dispersion window, its partner inside it
+    c = EmissionCoord(0.06 * source.pump.omega, math.radians(2.0),
+                      math.radians(30.0))
+    assert maps.time_delay(source, c, "i") == want
+    assert all(map(math.isfinite, maps.time_intervals(source, c, "i")))
+    for call in (lambda: maps.relative_phase(source, c),
+                 lambda: maps.time_delay(source, c, "s"),
+                 lambda: maps.time_intervals(source, c, "s")):
+        with pytest.raises(RangeError, match="outside validity range"):
+            call()
+
+
+def test_every_sweep_solves_the_partner_before_any_transit():
+    # 200 nm lies below BBO's window and above the 405 nm pump's
+    # frequency: the partner's frequency is negative, and every kind
+    # says so first
+    gs = maps.GridSpec(5, 5, -20.0, 20.0, -20.0, 20.0)
+    for sweep in (maps.sweep_phase_map, maps.sweep_delay_map,
+                  lambda source, gs, **kw: maps.sweep_maps(
+                      source, gs, ("delay", "phase"), **kw)):
+        with pytest.raises(KinematicsError, match="partner frequency"):
+            sweep(BBO, gs, filter_center_nm=200.0)
+
+
+@pytest.mark.parametrize("source, gs, filt", [
+    (LI, maps.GridSpec(23, 2 * maps._CHUNK_CELLS // 23 + 5, -60.0, 60.0,
+                       -60.0, 60.0), None),
+    (BBO, maps.GridSpec(33, 21, 0.0, 80.0, -180.0, 180.0,
+                        mode=maps.ANGULAR_MODE), 702.2)])
+def test_sweep_maps_planes_are_the_one_kind_sweeps(source, gs, filt):
+    phase = maps.sweep_phase_map(source, gs, filter_center_nm=filt)
+    delay = maps.sweep_delay_map(source, gs, filter_center_nm=filt)
+    assert np.isnan(delay.values[1]).any() == (filt is not None)
+    for kinds, want in ((("phase", "delay"), (phase, delay)),
+                        (("delay", "phase"), (delay, phase)),
+                        (("phase",), (phase,))):
+        grids = maps.sweep_maps(source, gs, kinds, filter_center_nm=filt,
+                                workers=1)
+        assert len(grids) == len(want)
+        for grid, ref in zip(grids, want):
+            assert grid.same_data(ref) and grid.metadata == ref.metadata
+
+
+def test_sweep_maps_builds_each_transit_once_per_block(monkeypatch):
+    transits, partners = [], []
+    transit, partner = maps._Transit, phasematch._partner
+    monkeypatch.setattr(maps, "_Transit",
+                        lambda *a: transits.append(a) or transit(*a))
+    monkeypatch.setattr(phasematch, "_partner",
+                        lambda *a: partners.append(a) or partner(*a))
+    gs = maps.GridSpec(2000, 9, -30.0, 30.0, -30.0, 30.0)
+    blocks = len(maps._row_blocks(gs.ny, gs.nx))
+    assert blocks == 3
+    for sweep in (lambda: maps.sweep_maps(BBO, gs, ("phase", "delay"),
+                                          workers=1),
+                  lambda: maps.sweep_phase_map(BBO, gs, workers=1),
+                  lambda: maps.sweep_delay_map(BBO, gs, workers=1)):
+        transits.clear()
+        partners.clear()
+        sweep()
+        assert (len(transits), len(partners)) == (2 * blocks, blocks)
+
+
+@pytest.mark.parametrize("kinds", [(), [], iter(()), ("phase", "wrapped"),
+                                   ("Delay",), "phase"])
+def test_sweep_maps_refuses_unknown_kinds_before_any_plane(kinds,
+                                                          monkeypatch):
+    def no_plane(*args, **kwargs):
+        raise AssertionError("a plane was allocated")
+    monkeypatch.setattr(np, "empty", no_plane)
+    gs = maps.GridSpec(3, 2, -20.0, 20.0, -5.0, 5.0)
+    with pytest.raises(ValueError, match="kinds"):
+        maps.sweep_maps(LI, gs, kinds)

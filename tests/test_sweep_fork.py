@@ -197,3 +197,26 @@ def test_workers_of_one_or_more_are_accepted():
     ref = maps.sweep_phase_map(LI, gs)
     for workers in (1, 7, np.int64(2)):
         assert maps.sweep_phase_map(LI, gs, workers=workers).same_data(ref)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_forked_sweep_maps_is_bitwise_the_one_kind_sweeps(case, forks,
+                                                          four_cpus):
+    source, gs, filt = CASES[case]
+    phase, delay = (sweep(source, gs, filter_center_nm=filt, workers=1)
+                    for sweep in SWEEPS)
+    for workers in (2, 3, 4):
+        for kinds, want in ((("phase", "delay"), (phase, delay)),
+                            (("delay", "phase"), (delay, phase))):
+            grids = maps.sweep_maps(source, gs, kinds, filter_center_nm=filt,
+                                    workers=workers)
+            assert len(grids) == 2
+            for grid, ref in zip(grids, want):
+                assert grid.same_data(ref), (kinds, workers)
+    assert len(forks) == 2 * (1 + 2 + 3)
+
+
+def test_forked_sweep_maps_refuses_no_kind(forks, four_cpus):
+    with pytest.raises(ValueError, match="kinds"):
+        maps.sweep_maps(LI, LI_GRID, (), workers=4)
+    assert forks == []
