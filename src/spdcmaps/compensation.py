@@ -18,12 +18,13 @@ import numpy as np
 
 from . import crystal, phasematch, vecgeom
 from .errors import ConfigError, NoSolutionError, SpdcError
-from .maps import time_delay
+from .maps import _check_whole, time_delay
 from .solvers import bisect_secant
 
 # a tilt qualifies as self-compensating when the residual delay magnitude
 # sits below this
 DELAY_TOLERANCE_FS = 0.01
+MAX_SCAN_SAMPLES = 10_000  # the most samples one tilt scan takes
 
 
 def constrained_pump_state(pump, source):
@@ -43,19 +44,14 @@ def constrained_pump_state(pump, source):
     theta_p = 0 each crystal keeps its nominal axis angles bitwise; any
     other tilt rotates the axis direction by vecgeom._rotate.
     """
-    theta_p, phi_p = pump.theta_p, pump.phi_p
-    if abs(theta_p) >= 0.5 * math.pi:
-        raise ConfigError(
-            "pump tilt must stay below 90 degrees from the entry-face "
-            "normal", key="pump.theta_p")
     base = source.nominal_axes()
     crystals = []
     for spec, axis in zip((source.crystal1, source.crystal2), base):
-        if theta_p != 0.0:
+        if pump.theta_p != 0.0:
             _, n_o, n_ep = crystal._indices(spec.material, pump.omega)
             n_cut = crystal._section_index(n_o, n_ep, math.cos(axis[0]))
             rot = vecgeom.tilt_rotation(
-                math.asin(math.sin(theta_p) / n_cut), phi_p).tolist()
+                math.asin(math.sin(pump.theta_p) / n_cut), pump.phi_p).tolist()
             x, y = vecgeom._transverse(*axis)
             axis = vecgeom.angles_from_direction(
                 vecgeom._rotate(rot, x, y, np.cos(axis[0])))
@@ -116,6 +112,20 @@ class TiltScanResult:
                      if s.error is None and math.isfinite(s.delay_fs))
 
 
+def _check_scan(theta_range, n_samples):
+    """(lo, hi, n) of a tilt scan: -pi/2 < lo < hi < pi/2 rad, the tilts
+    PumpConfig admits, and n a whole number from 2 to MAX_SCAN_SAMPLES.
+    Else a ConfigError keyed theta_min, theta_max or n_samples."""
+    lo, hi = float(theta_range[0]), float(theta_range[1])
+    for key, theta in (("theta_min", lo), ("theta_max", hi)):
+        if not abs(theta) < 0.5 * math.pi:
+            raise ConfigError("tilt range must lie inside (-90, 90) degrees, "
+                              f"got {math.degrees(theta)!r}", key=key)
+    if not lo < hi:
+        raise ConfigError("tilt range must satisfy min < max", key="theta_max")
+    return lo, hi, _check_whole(n_samples, "n_samples", 2, MAX_SCAN_SAMPLES)
+
+
 def scan_tilt(source, phi_p, theta_range, n_samples, target=None):
     """Sweep the constrained pump tilt, recording the delay at the target.
 
@@ -125,12 +135,8 @@ def scan_tilt(source, phi_p, theta_range, n_samples, target=None):
     DELAY_TOLERANCE_FS is promoted to a root outright; otherwise the
     first sign change between valid samples is reported as the bracket.
     """
-    if int(n_samples) < 2:
-        raise ConfigError("scan needs at least two samples",
-                          key="n_samples")
-    lo, hi = float(theta_range[0]), float(theta_range[1])
     samples = []
-    for th in np.linspace(lo, hi, int(n_samples)):
+    for th in np.linspace(*_check_scan(theta_range, n_samples)):
         th = float(th)
         try:
             v, _, delta = tilt_delay(source, th, phi_p, target)

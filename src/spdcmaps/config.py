@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from . import crystal, maps, phasematch
+from . import compensation, crystal, maps, phasematch
 from .errors import ConfigError, FitError, RangeError
 
 _REQUIRED = object()
@@ -166,13 +166,20 @@ def validate(flat):
     return out
 
 
+# library field names whose config keys differ, the unit added
+_FIELD_KEYS = {"theta_p": "theta_p_deg", "phi_p": "phi_p_deg",
+               "phase_offset": "phase_offset_deg", "axis_theta": "cut_deg",
+               "axis_phi": "axis_phi_deg", "theta_min": "theta_min_deg",
+               "theta_max": "theta_max_deg"}
+
+
 @contextmanager
 def _rekey(prefix):
-    """Translate library ConfigError keys to full paths."""
+    """Translate library ConfigError keys (field names) to config keys."""
     try:
         yield
     except ConfigError as exc:
-        sub = exc.key or ""
+        sub = _FIELD_KEYS.get(exc.key, exc.key)
         raise ConfigError(exc.message,
                           key=f"{prefix}.{sub}" if sub else prefix) from None
 
@@ -207,14 +214,10 @@ def build_run_config(flat):
     """Validated flat dict -> RunConfig with live library objects."""
     canon = validate(flat)
 
-    theta_p = canon["pump.theta_p_deg"]
-    if abs(theta_p) >= 90.0:
-        raise ConfigError("pump tilt must stay below 90 degrees",
-                          key="pump.theta_p_deg")
     with _rekey("pump"):
         pump = phasematch.PumpConfig(
             wavelength_nm=canon["pump.wavelength_nm"],
-            theta_p=math.radians(theta_p),
+            theta_p=math.radians(canon["pump.theta_p_deg"]),
             phi_p=math.radians(canon["pump.phi_p_deg"]),
             phase_offset=math.radians(canon["pump.phase_offset_deg"]))
 
@@ -246,14 +249,11 @@ def build_run_config(flat):
     _check_dispersion_range(c2.material, key, (
         (w_s, "signal (crystal2)"), (pump.omega - w_s, "idler (crystal2)")))
 
-    t_lo = canon["tilt.theta_min_deg"]
-    t_hi = canon["tilt.theta_max_deg"]
-    if not t_lo < t_hi:
-        raise ConfigError("tilt range must satisfy min < max",
-                          key="tilt.theta_max_deg")
-    if not 2 <= canon["tilt.n_samples"] <= 10_000:
-        raise ConfigError("tilt scan needs 2 to 10000 samples",
-                          key="tilt.n_samples")
+    with _rekey("tilt"):
+        t_lo, t_hi, samples = compensation._check_scan(
+            (math.radians(canon["tilt.theta_min_deg"]),
+             math.radians(canon["tilt.theta_max_deg"])),
+            canon["tilt.n_samples"])
 
     line = canon["fit.line"]
     for mode in maps._COORDS:  # a line of any grid mode; fit checks its own
@@ -269,6 +269,5 @@ def build_run_config(flat):
     return RunConfig(
         source=source, grid=grid, filter_nm=filter_nm,
         tilt_phi_p=math.radians(canon["tilt.phi_p_deg"]),
-        tilt_range=(math.radians(t_lo), math.radians(t_hi)),
-        tilt_samples=canon["tilt.n_samples"],
+        tilt_range=(t_lo, t_hi), tilt_samples=samples,
         fit_line=line, flat=canon)

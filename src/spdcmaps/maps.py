@@ -310,7 +310,7 @@ class GridSpec:
     """Rectangular sweep grid.  Coordinates are mm on the detection plane
     in detection_plane_xy mode, degrees (polar, azimuth) in
     angular_theta_phi mode.  Cell (i, j) sits at (coord2[i], coord1[j]);
-    storage is row-major over coord2 rows."""
+    storage is row-major over coord2 rows, of at most _MAX_CELLS cells."""
 
     nx: int
     ny: int
@@ -321,11 +321,10 @@ class GridSpec:
     mode: str = DETECTION_MODE
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ConfigError("grid must have at least one cell per axis",
-                              key="grid")
-        if self.nx * self.ny > _MAX_CELLS:  # before any plane is allocated
-            raise ConfigError(f"{self.nx} x {self.ny} cells exceed the cap "
+        nx, ny = (_check_whole(getattr(self, n), "grid", 1, name=n)
+                  for n in ("nx", "ny"))
+        if nx * ny > _MAX_CELLS:  # before any plane is allocated
+            raise ConfigError(f"{nx} x {ny} cells exceed the cap "
                               f"of 2^24 = {_MAX_CELLS}", key="grid")
         if self.mode not in _COORDS:
             raise ConfigError(f"unknown grid mode {self.mode!r}", key="grid.mode")
@@ -387,16 +386,15 @@ def _default_workers():
     return min(4, _usable_cpus())
 
 
-def _check_workers(workers):
-    """workers, or _default_workers() for None.  Anything but None or a
-    whole number of at least 1 (a bool included) is a ConfigError."""
-    if workers is None:
-        return _default_workers()
-    if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
-            or workers < 1):
-        raise ConfigError("workers must be None or a whole number of at "
-                          f"least 1, got {workers!r}", key="workers")
-    return int(workers)
+def _check_whole(value, key, lo, hi=None, name=None):
+    """int(value) for a whole number (Integral, not bool) from lo to hi
+    (None: unbounded); else a ConfigError keyed key, naming name."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < lo or (hi is not None and value > hi)):
+        span = f"of at least {lo}" if hi is None else f"from {lo} to {hi}"
+        raise ConfigError(f"{name + ' ' if name else ''}must be a whole "
+                          f"number {span}, got {value!r}", key=key)
+    return int(value)
 
 
 # cells per sweep block: whole rows, enough of them to amortize the
@@ -523,7 +521,8 @@ def sweep_maps(source, grid_spec, kinds, filter_center_nm=None, workers=None):
     if not kinds or not all(kind in _KINDS for kind in kinds):
         raise ValueError(f"kinds must be one or more of {tuple(_KINDS)}: "
                          f"{kinds!r}")
-    workers = _check_workers(workers)
+    workers = (_default_workers() if workers is None
+               else _check_whole(workers, "workers", 1))
     filter_nm, w_s = _signal_omega(source.pump, filter_center_nm)
     xs, ys = grid_spec.axes()
     if grid_spec.mode == DETECTION_MODE:

@@ -62,8 +62,9 @@ class PumpConfig:
     (radians), and the initial phase offset between its two polarization
     components (radians, additive to every relative phase).  omega,
     transverse_q() and the cone frame are computed once per instance.  A
-    wavelength that is not finite and positive, or an angle or offset
-    that is not finite, is a ConfigError keyed by the field's name."""
+    wavelength that is not finite and positive, an angle or offset that
+    is not finite, or a grazing tilt, |theta_p| >= pi/2, is a ConfigError
+    keyed by the field's name, from with_tilt too."""
 
     wavelength_nm: float
     theta_p: float = 0.0
@@ -79,6 +80,9 @@ class PumpConfig:
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise ConfigError(f"must be finite, got {value!r}", key=key)
+        if not abs(self.theta_p) < 0.5 * math.pi:
+            raise ConfigError("pump tilt must stay below 90 degrees, got "
+                              f"{math.degrees(self.theta_p)!r}", key="theta_p")
 
     @cached_property
     def omega(self):

@@ -6,7 +6,7 @@ import math
 import os
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdcmaps import cli, compensation, config, mapio, maps, phasematch
+from spdcmaps import (cli, compensation, config, crystal, mapio, maps,
+                      phasematch)
 from spdcmaps.errors import ConfigError, DataFormatError, FitError
 
 LI_CFG = """\
@@ -1440,6 +1441,45 @@ def test_caps_admit_their_bounds(bbo_cfg):
     flat.update({"tilt.n_samples": 10000, "grid.nx": 4096, "grid.ny": 4096})
     rc = config.build_run_config(flat)
     assert rc.tilt_samples == 10000 and rc.grid.nx * rc.grid.ny == 2 ** 24
+
+
+@pytest.mark.parametrize("sets, key", [
+    (["pump.theta_p_deg=90"], "pump.theta_p_deg"),
+    (["pump.theta_p_deg=-1e300"], "pump.theta_p_deg"),
+    (["tilt.theta_max_deg=1e300"], "tilt.theta_max_deg"),
+    (["tilt.theta_max_deg=90"], "tilt.theta_max_deg"),
+    (["tilt.theta_min_deg=-90"], "tilt.theta_min_deg"),
+    (["tilt.theta_min_deg=30", "tilt.theta_max_deg=30"], "tilt.theta_max_deg"),
+    (["tilt.n_samples=1"], "tilt.n_samples"),
+])
+def test_cli_library_bounds_name_the_config_key(capsys, monkeypatch, sets,
+                                                key):
+    # the library holds each bound; the config names it by its own key,
+    # and refuses before any tilt is evaluated
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused input reached the scan")
+    monkeypatch.setattr(compensation, "tilt_delay", no_work)
+    argv = ["find-tilt", "--scan", "--config", _shipped("bbo_tilt52.yaml")]
+    for text in sets:
+        argv += ["--set", text]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key}: ")
+    assert "Traceback" not in err
+
+
+def test_rekeyed_library_fields_are_config_keys():
+    # every field name a library ConfigError may carry into _rekey comes
+    # out as a key of the config table
+    library = {"pump": [f.name for f in fields(phasematch.PumpConfig)],
+               "crystal1": [f.name for f in fields(crystal.CrystalSpec)],
+               "tilt": ["theta_min", "theta_max", "n_samples"]}
+    for prefix, names in library.items():
+        for name in names:
+            with pytest.raises(ConfigError) as err:
+                with config._rekey(prefix):
+                    raise ConfigError("refused", key=name)
+            assert err.value.key in config._KEYS, (prefix, name)
 
 
 @pytest.mark.parametrize("window", [

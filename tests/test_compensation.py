@@ -203,6 +203,45 @@ def test_scan_requires_two_samples():
         compensation.scan_tilt(BBO_SRC, PHI, (0.0, 0.5), 1)
 
 
+def _no_tilt_delay(*args, **kwargs):
+    raise AssertionError("a refused scan evaluated a tilt")
+
+
+@pytest.mark.parametrize("theta_range, n_samples, key", [
+    ((0.0, 1e300), 3, "theta_max"),
+    ((0.0, 0.5 * math.pi), 3, "theta_max"),
+    ((-0.5 * math.pi, 0.5), 3, "theta_min"),
+    ((math.nan, 0.5), 3, "theta_min"),
+    ((0.5, 0.5), 3, "theta_max"),
+    ((0.5, math.nan), 3, "theta_max"),
+    ((0.0, 0.5), 2.7, "n_samples"),
+    ((0.0, 0.5), 2.0, "n_samples"),
+    ((0.0, 0.5), True, "n_samples"),
+    ((0.0, 0.5), 10001, "n_samples"),
+])
+def test_scan_refuses_a_range_or_count_out_of_bounds(monkeypatch, theta_range,
+                                                     n_samples, key):
+    # unrefused, 2.7 samples scanned 2, and tilts past 90 degrees came
+    # back as invalid samples
+    monkeypatch.setattr(compensation, "tilt_delay", _no_tilt_delay)
+    with pytest.raises(ConfigError) as err:
+        compensation.scan_tilt(BBO_SRC, PHI, theta_range, n_samples)
+    assert err.value.key == key
+
+
+def test_scan_admits_the_bounds_of_its_checks(monkeypatch):
+    monkeypatch.setattr(compensation, "tilt_delay",
+                        lambda source, th, phi_p, target=None:
+                        (1.0, None, None))
+    top = math.nextafter(0.5 * math.pi, 0.0)
+    res = compensation.scan_tilt(BBO_SRC, PHI, (-top, top),
+                                 compensation.MAX_SCAN_SAMPLES)
+    assert len(res.samples) == 10000
+    assert (res.samples[0].theta_p, res.samples[-1].theta_p) == (-top, top)
+    res = compensation.scan_tilt(BBO_SRC, PHI, (0.0, 0.5), np.int64(2))
+    assert [s.theta_p for s in res.samples] == [0.0, 0.5]
+
+
 def test_scan_constant_delay_reports_nothing():
     src = synth_source(ISO)
     target = EmissionCoord(0.5 * src.pump.omega, 0.0, 0.0)

@@ -133,6 +133,21 @@ def test_pointwise_photon_grazing_the_face_is_a_named_error():
             maps.relative_phase(source, coord)
 
 
+def test_relative_phase_of_a_grazing_signal_whose_partner_propagates():
+    # off degeneracy the partner of a grazing signal stays in the light
+    # cone, so relative_phase reaches its own finiteness check
+    source = config.build_run_config(config.load_config_file(
+        os.path.join(CONFIGS, "bbo_normal.yaml"))).source
+    coord = EmissionCoord(0.4 * source.pump.omega,
+                          math.nextafter(math.pi / 2, 0.0), 0.0)
+    for call in (maps.relative_phase,
+                 lambda source, coord: maps.time_delay(source, coord, "s")):
+        with pytest.raises(KinematicsError, match="^photon grazes the face$"):
+            call(source, coord)
+    assert maps.time_delay(source, coord, "i") == pytest.approx(
+        106.51707356700172, abs=1e-9)
+
+
 # --------------------------------------------------- intervals and delay
 
 def test_delay_frozen_values():
@@ -679,6 +694,18 @@ def test_grid_spec_caps_the_cell_count():
     assert err.value.key == "grid"
     gs = maps.GridSpec(4096, 4096, -60.0, 60.0, -60.0, 60.0)
     assert gs.nx * gs.ny == 2 ** 24
+
+
+@pytest.mark.parametrize("nx, ny", [
+    (2.5, 3), (3, 2.5), (True, 3), (3, False), ("3", 3), (3.0, 3)])
+def test_grid_spec_sizes_are_whole_numbers(nx, ny):
+    # unrefused, a float or a bool reaches numpy when the sweep sizes its
+    # planes, and a string fails the comparison: bare TypeErrors
+    with pytest.raises(ConfigError, match="whole number") as err:
+        maps.GridSpec(nx, ny, -60.0, 60.0, -60.0, 60.0)
+    assert err.value.key == "grid"
+    gs = maps.GridSpec(np.int64(3), 2, -60.0, 60.0, -60.0, 60.0)
+    assert maps.sweep_phase_map(LI, gs).values[0].shape == (2, 3)
 
 
 def test_source_config_validation():

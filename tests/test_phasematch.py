@@ -329,6 +329,18 @@ def test_pump_config_refuses_what_the_config_path_refuses(key, value):
                                            key: value})
 
 
+@pytest.mark.parametrize("theta_p", [
+    0.5 * math.pi, -0.5 * math.pi, math.radians(135.0), 1e300])
+def test_pump_config_refuses_a_grazing_tilt(theta_p):
+    with pytest.raises(ConfigError, match="below 90 degrees") as exc:
+        PumpConfig(405.0, theta_p=theta_p)
+    assert exc.value.key == "theta_p"
+    with pytest.raises(ConfigError, match="below 90 degrees"):
+        PumpConfig(405.0).with_tilt(theta_p, 0.0)
+    top = math.nextafter(0.5 * math.pi, 0.0)
+    assert PumpConfig(405.0).with_tilt(-top, 0.0).theta_p == -top
+
+
 def test_ring_solve_converts_no_angles_and_the_target_one(monkeypatch):
     calls = []
     angles = vecgeom.angles_from_direction

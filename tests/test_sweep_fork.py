@@ -6,6 +6,7 @@ The grids are 2000 cells wide, four rows to a block, and 27 rows high:
 seven blocks, which split unevenly over two, three or four processes.
 """
 
+import errno
 import math
 import os
 import sys
@@ -115,6 +116,22 @@ def test_a_share_whose_child_fails_is_swept_here(forks, four_cpus,
     monkeypatch.setattr(maps, "_phase_values", child_fails)
     assert maps.sweep_phase_map(LI, LI_GRID, workers=4).same_data(ref)
     assert len(forks) == 3
+
+
+def test_a_share_that_cannot_be_forked_is_swept_here(forks, four_cpus,
+                                                    monkeypatch):
+    ref = maps.sweep_delay_map(LI, LI_GRID, workers=1)
+    counting, calls = os.fork, []
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return counting()
+    monkeypatch.setattr(os, "fork", second_fails)
+    # no fork after the failed one; its share and the next are swept here
+    assert maps.sweep_delay_map(LI, LI_GRID, workers=4).same_data(ref)
+    assert len(calls) == 2 and len(forks) == 1
 
 
 def test_an_error_here_kills_the_children_and_propagates(forks, four_cpus,
