@@ -242,6 +242,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ConfigError, RangeError) as exc:
+        if getattr(exc, "key", None) == "workers":  # the sweeps' argument
+            exc = ConfigError(exc.message, key="--workers")
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoSolutionError, KinematicsError, RefractionError,

@@ -16,7 +16,8 @@ partner, solved first by the one copy of the conservation law
 (_phase_values, _delay_values) into every kind's planes (_KINDS) before
 the next.  On Linux, a grid of at least _FORK_CELLS cells is split into
 contiguous shares of blocks, all but the first swept in forked child
-processes (_fill_forked); the planes are bitwise the same for every
+processes (_fill_shares) straight into the returned planes, one shared
+anonymous mapping; the planes are bitwise the same for every
 workers count.  Pointwise calls run the record, or one photon's part of
 it (_at), on an EmissionCoord's 0-d values, so they reproduce the phase
 and both delay columns bitwise.  These are plain floats: numpy computes
@@ -449,26 +450,22 @@ def _processes(workers, cells, blocks):
     return min(workers, _usable_cpus(), blocks)
 
 
-def _fill_forked(fill, planes, shares):
-    """Sweep shares of row blocks with fill(out, blocks, top): the first
-    into planes here, each other one in a forked child, into one shared
-    anonymous mapping whose rows are then copied into planes.  planes stay
-    private arrays; the mapping is dropped on return.
+def _fill_shares(fill, shares):
+    """Sweep shares of row blocks with fill(blocks): the first here, each
+    other one in a forked child; one share forks nothing.  fill writes
+    the planes sweep_maps returns, for more than one share a shared
+    anonymous mapping, so a child's rows land there and are not copied.
 
     The fork is safe, though import numpy has started an OpenBLAS
     thread: _processes forks only while no other Python thread runs, a
     child runs only numpy ufunc loops on the rows it owns and takes no
     lock that a native thread pool holds, and it leaves through os._exit,
-    never returning into its caller's frames.  A share
-    whose child exits nonzero, or that could not be forked (OSError), is
-    swept here: the kernels are deterministic, so it gets the same bits or
-    raises the same error, with its traceback.  On any exception here,
+    never returning into its caller's frames.  A share whose child exits
+    nonzero, or that could not be forked (OSError), is swept here: the
+    kernels are deterministic, so it gets the same bits or raises the
+    same error, with its traceback.  On any exception here,
     KeyboardInterrupt included, the children are killed; each one is
     reaped before this returns or raises."""
-    top = shares[1][0][0]
-    ny, nx = planes[0].shape
-    buf = mmap.mmap(-1, len(planes) * (ny - top) * nx * 8)
-    shared = np.frombuffer(buf).reshape(len(planes), ny - top, nx)
     children = []       # (pid, share) of the children not yet reaped
     try:
         for share in shares[1:]:
@@ -486,20 +483,20 @@ def _fill_forked(fill, planes, shares):
             if pid == 0:
                 code = 1
                 try:
-                    fill(shared, share, top)
+                    fill(share)
                     code = 0
                 finally:
                     os._exit(code)
             children.append((pid, share))
-        fill(planes, shares[0], 0)
+        fill(shares[0])
         for share in shares[1 + len(children):]:
-            fill(shared, share, top)
+            fill(share)
         while children:
             pid, share = children[0]
             status = os.waitpid(pid, 0)[1]
             del children[0]
             if status:
-                fill(shared, share, top)
+                fill(share)
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -507,16 +504,17 @@ def _fill_forked(fill, planes, shares):
     finally:
         for pid, _ in children:
             os.waitpid(pid, 0)
-    for plane, rows in zip(planes, shared):
-        plane[top:] = rows
 
 
 def sweep_maps(source, grid_spec, kinds, filter_center_nm=None, workers=None):
     """A MapGrid for each of kinds ("phase", "delay"; ValueError for none
     or another), all from one _record per block of whole grid rows, in
-    _processes(...) contiguous shares (_fill_forked).  filter_center_nm and
+    _processes(...) contiguous shares (_fill_shares).  filter_center_nm and
     workers as in sweep_phase_map; a detection-plane window whose farthest
-    corner grazes the face (GridSpec's rule) is a ConfigError keyed grid."""
+    corner grazes the face (GridSpec's rule) is a ConfigError keyed grid.
+    Every plane is a float64 (ny, nx) slice of one block: private for a
+    sweep in this process alone; for a forked one, a shared anonymous
+    mapping, which a later os.fork by the caller shares with its child."""
     kinds = tuple(kinds)
     if not kinds or not all(kind in _KINDS for kind in kinds):
         raise ValueError(f"kinds must be one or more of {tuple(_KINDS)}: "
@@ -530,10 +528,16 @@ def sweep_maps(source, grid_spec, kinds, filter_center_nm=None, workers=None):
             _check_top_polar(np.arctan(np.hypot(abs(xs).max(), abs(ys).max())
                                        / source.detection_distance_mm))
     kernels = [globals()[_KINDS[kind][1]] for kind in kinds]
+    blocks = _row_blocks(grid_spec.ny, grid_spec.nx)
+    k = _processes(workers, grid_spec.ny * grid_spec.nx, len(blocks))
+    shape = (sum(len(_KINDS[kind][0]) for kind in kinds),
+             grid_spec.ny, grid_spec.nx)
+    # private where no child writes: a mapping made serial 257^2 sweeps slower
+    flat = (np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
+            if k > 1 else np.empty(shape))
 
-    def fill(out, blocks, top):
-        # the blocks' rows into the planes out, whose row 0 is grid row top
-        for i, j in blocks:
+    def fill(share):
+        for i, j in share:
             x, y = xs[np.newaxis, :], ys[i:j, np.newaxis]
             if grid_spec.mode == DETECTION_MODE:
                 theta, phi = vecgeom.detection_point_to_angles(
@@ -547,26 +551,18 @@ def sweep_maps(source, grid_spec, kinds, filter_center_nm=None, workers=None):
                 kernel(*cell) for kernel in kernels])
             vals = [v for kind, s, p in zip(kinds, *cells)
                     for v in _KINDS[kind][2](source, s, p)]
-            for plane, v in zip(out, vals):
-                plane[i - top:j - top] = v
+            for plane, v in zip(flat, vals):
+                plane[i:j] = v
 
-    planes = [[np.empty((grid_spec.ny, grid_spec.nx))
-               for _ in _KINDS[kind][0]] for kind in kinds]
-    flat = [plane for kind_planes in planes for plane in kind_planes]
-    blocks = _row_blocks(grid_spec.ny, grid_spec.nx)
-    k = _processes(workers, grid_spec.ny * grid_spec.nx, len(blocks))
-    if k == 1:
-        fill(flat, blocks, 0)
-    else:
-        n = len(blocks)
-        _fill_forked(fill, flat, [blocks[n * s // k:n * (s + 1) // k]
-                                  for s in range(k)])
+    n = len(blocks)
+    _fill_shares(fill, [blocks[n * s // k:n * (s + 1) // k] for s in range(k)])
+    planes = iter(flat)
     return tuple(MapGrid(
         kind=kind, mode=grid_spec.mode, coord1=xs, coord2=ys,
         coord_names=_COORDS[grid_spec.mode], value_names=_KINDS[kind][0],
-        values=tuple(kind_planes), metadata={
+        values=tuple(next(planes) for _ in _KINDS[kind][0]), metadata={
             "source": source_snapshot(source), "filter_nm": filter_nm})
-        for kind, kind_planes in zip(kinds, planes))
+        for kind in kinds)
 
 
 def sweep_phase_map(source, grid_spec, filter_center_nm=None, workers=None):

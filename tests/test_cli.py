@@ -853,6 +853,16 @@ def test_cli_worker_count_below_one_exits_config(tmp_path, li_cfg, capsys,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["phase-map", "delay-map", "fit"])
+def test_cli_worker_count_error_names_the_flag(tmp_path, li_cfg, capsys, cmd):
+    # the sweep's ConfigError is keyed by its argument, workers
+    assert cli.main([cmd, "--config", li_cfg, "--workers", "0",
+                     "--out", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --workers: must be a whole number of at "
+        "least 1, got 0\n")
+
+
 def test_cli_set_override_changes_result(tmp_path, li_cfg):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(["phase-map", "--config", li_cfg, "--out", str(a)]) == 0

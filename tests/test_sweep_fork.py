@@ -7,6 +7,7 @@ seven blocks, which split unevenly over two, three or four processes.
 """
 
 import errno
+import gc
 import math
 import os
 import sys
@@ -237,3 +238,33 @@ def test_forked_sweep_maps_refuses_no_kind(forks, four_cpus):
     with pytest.raises(ValueError, match="kinds"):
         maps.sweep_maps(LI, LI_GRID, (), workers=4)
     assert forks == []
+
+
+def test_forked_planes_outlive_the_sweep(forks, four_cpus):
+    kinds = ("phase", "delay")
+    refs = maps.sweep_maps(LI, LI_GRID, kinds, workers=1)
+    grids = maps.sweep_maps(LI, LI_GRID, kinds, workers=4)
+    maps.sweep_maps(BBO, LI_GRID, kinds, workers=4)
+    gc.collect()
+    assert all(g.same_data(r) for g, r in zip(grids, refs))
+    assert len(forks) == 6
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_planes_are_separate_writable_float64_grids(workers, forks,
+                                                    four_cpus):
+    grids = maps.sweep_maps(LI, LI_GRID, ("phase", "delay"), workers=workers)
+    assert len(forks) == (3 if workers > 1 else 0)
+    planes = [plane for grid in grids for plane in grid.values]
+    assert len(planes) == 3
+    for plane in planes:
+        assert plane.dtype == np.float64
+        assert plane.shape == (LI_GRID.ny, LI_GRID.nx)
+        assert plane.flags.c_contiguous and plane.flags.writeable
+    before = [plane.copy() for plane in planes]
+    # each write lands in its own plane alone
+    for n, plane in enumerate(planes):
+        plane[...] = -1.0 - n
+        for m, other in enumerate(planes):
+            want = np.full_like(other, -1.0 - m) if m <= n else before[m]
+            assert np.array_equal(other, want, equal_nan=True), (n, m)
